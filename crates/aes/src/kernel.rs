@@ -102,7 +102,16 @@ impl AesGpuKernel {
         warp_size: usize,
         layout: TableLayout,
     ) -> Self {
-        let aes = Aes128::new(key);
+        Self::build(Aes128::new(key), lines, warp_size, layout)
+    }
+
+    /// Like [`AesGpuKernel::new`] over an already expanded key schedule,
+    /// so a stream of launches under one key expands it once.
+    pub fn from_cipher(aes: Aes128, lines: Vec<Block>, warp_size: usize) -> Self {
+        Self::build(aes, lines, warp_size, TableLayout::default())
+    }
+
+    fn build(aes: Aes128, lines: Vec<Block>, warp_size: usize, layout: TableLayout) -> Self {
         let mut ciphertexts = Vec::with_capacity(lines.len());
         let mut traces = Vec::with_capacity(lines.len());
         for &line in &lines {

@@ -23,6 +23,18 @@ pub enum AttackError {
     /// A streaming [`crate::SampleSource`] failed to produce its next
     /// chunk (e.g. the backing simulator rejected its configuration).
     Source(String),
+    /// The attack's warp is wider than the predictor's 64-lane masks
+    /// (`rcoal_core::MAX_WARP_LANES`).
+    WarpTooWide {
+        /// The offending warp size.
+        warp_size: usize,
+    },
+    /// The oracle's block indices reach past the predictor's 64-bit
+    /// block masks ([`crate::TableOracle::block_count`] `> 64`).
+    TooManyBlocks {
+        /// The oracle's block count.
+        blocks: u64,
+    },
 }
 
 impl fmt::Display for AttackError {
@@ -34,6 +46,14 @@ impl fmt::Display for AttackError {
             }
             AttackError::Domain(msg) => write!(f, "parameter out of domain: {msg}"),
             AttackError::Source(msg) => write!(f, "sample source failed: {msg}"),
+            AttackError::WarpTooWide { warp_size } => write!(
+                f,
+                "warp of {warp_size} lanes exceeds the predictor's 64-lane limit"
+            ),
+            AttackError::TooManyBlocks { blocks } => write!(
+                f,
+                "oracle spans {blocks} blocks, past the predictor's 64-block limit"
+            ),
         }
     }
 }
@@ -56,5 +76,11 @@ mod tests {
         assert!(AttackError::Source("sim rejected config".into())
             .to_string()
             .contains("sim rejected config"));
+        assert!(AttackError::WarpTooWide { warp_size: 96 }
+            .to_string()
+            .contains("96 lanes"));
+        assert!(AttackError::TooManyBlocks { blocks: 256 }
+            .to_string()
+            .contains("256 blocks"));
     }
 }

@@ -33,8 +33,12 @@ impl OnlineByteRecovery {
     ///
     /// # Errors
     ///
-    /// [`AttackError::ByteIndex`] for `byte >= attack.key_bytes()`.
+    /// [`AttackError::ByteIndex`] for `byte >= attack.key_bytes()`,
+    /// [`AttackError::WarpTooWide`] for a warp wider than 64 lanes, and
+    /// [`AttackError::TooManyBlocks`] for an oracle of more than 64
+    /// blocks.
     pub fn new(attack: &Attack, byte: usize) -> Result<Self, AttackError> {
+        attack.check_limits()?;
         if byte >= attack.key_bytes() {
             return Err(AttackError::ByteIndex { j: byte });
         }

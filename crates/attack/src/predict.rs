@@ -1,9 +1,42 @@
-use crate::oracle::{aes_oracle, TableOracle};
+use crate::oracle::{aes_oracle, GuessTable, TableOracle};
 use rcoal_aes::Block;
-use rcoal_core::{Coalescer, CoalescingPolicy};
+use rcoal_core::{CoalescingPolicy, SubwarpMasks};
 use rcoal_rng::SeedableRng;
 use rcoal_rng::StdRng;
 use std::sync::Arc;
+
+/// What every guess lane of one attack shares: the oracle's
+/// `table[guess][byte]` block indices and, for deterministic policies,
+/// the full-warp subwarp masks — drawn once instead of once per
+/// prediction, since Baseline, Disabled and FSS never touch the RNG.
+#[derive(Debug)]
+pub(crate) struct SharedModel {
+    table: GuessTable,
+    fixed: Option<SubwarpMasks>,
+}
+
+impl SharedModel {
+    pub(crate) fn new(
+        oracle: Arc<dyn TableOracle>,
+        policy: CoalescingPolicy,
+        warp_size: usize,
+    ) -> Self {
+        let mut masks = SubwarpMasks::new();
+        // Deterministic policies make no draws, so any RNG will do.
+        let fixed = (!policy.is_randomized())
+            .then(|| policy.assignment_into(warp_size, &mut StdRng::seed_from_u64(0), &mut masks))
+            .and_then(Result::ok)
+            .map(|()| masks);
+        SharedModel {
+            table: GuessTable::new(oracle),
+            fixed,
+        }
+    }
+
+    pub(crate) fn oracle(&self) -> &Arc<dyn TableOracle> {
+        self.table.oracle()
+    }
+}
 
 /// The attacker's model of the victim GPU's coalescing: predicts how many
 /// last-round coalesced accesses a plaintext generates for a given key
@@ -14,26 +47,23 @@ use std::sync::Arc;
 /// uses. With [`CoalescingPolicy::Baseline`] this is the original attack
 /// of Jiang et al.; with an FSS policy it is Algorithm 1; with
 /// RSS/RTS policies it simulates the defense's own randomness.
+///
+/// A prediction allocates nothing: block indices come from a guess table
+/// shared by every predictor of an [`crate::Attack`], subwarps are `u64`
+/// lane masks drawn on the stack by
+/// [`CoalescingPolicy::assignment_into`], and a subwarp's distinct blocks
+/// are one popcount ([`SubwarpMasks::count_distinct`]). This needs warps
+/// of at most 64 lanes and block indices below 64; the attack entry
+/// points reject anything wider with a typed error. Used directly, a
+/// wider warp degrades to one access per lane and a wider oracle
+/// saturates at block 63.
 #[derive(Debug, Clone)]
 pub struct AccessPredictor {
     policy: CoalescingPolicy,
     warp_size: usize,
-    coalescer: Coalescer,
     rng: StdRng,
     mc_samples: usize,
-    /// Workload table oracle mapping (byte, guess) → block index;
-    /// defaults to the AES-128 last round.
-    oracle: Arc<dyn TableOracle>,
-    /// Memoized per-guess address table: `addr_table[b]` is the
-    /// pseudo-address of ciphertext byte `b` under the current guess.
-    /// The 256-guess sweep calls the predictor with one guess many
-    /// times (once per sample), so the inverse-SBox walk runs 256 times
-    /// per guess instead of `samples × lines` times.
-    addr_table: Vec<u64>,
-    addr_table_guess: Option<u8>,
-    /// Per-warp lane-address scratch, reused across every prediction so
-    /// the sweep's hot loop allocates nothing.
-    addrs_scratch: Vec<Option<u64>>,
+    model: Arc<SharedModel>,
     /// Ciphertext byte-column scratch backing [`AccessPredictor::predict`].
     bytes_scratch: Vec<u8>,
 }
@@ -43,16 +73,24 @@ impl AccessPredictor {
     /// warps. `seed` drives the attacker-side randomness of RSS/RTS
     /// replays.
     pub fn new(policy: CoalescingPolicy, warp_size: usize, seed: u64) -> Self {
+        let warp_size = warp_size.max(1);
+        let model = SharedModel::new(aes_oracle(), policy, warp_size);
+        Self::with_model(policy, warp_size, seed, Arc::new(model))
+    }
+
+    /// A predictor over an already shared model (one per attack).
+    pub(crate) fn with_model(
+        policy: CoalescingPolicy,
+        warp_size: usize,
+        seed: u64,
+        model: Arc<SharedModel>,
+    ) -> Self {
         AccessPredictor {
             policy,
             warp_size: warp_size.max(1),
-            coalescer: Coalescer::new(),
             rng: StdRng::seed_from_u64(seed),
             mc_samples: 1,
-            oracle: aes_oracle(),
-            addr_table: Vec::new(),
-            addr_table_guess: None,
-            addrs_scratch: Vec::new(),
+            model,
             bytes_scratch: Vec::new(),
         }
     }
@@ -68,8 +106,7 @@ impl AccessPredictor {
     /// how the predictor maps an observed byte plus a guess onto the
     /// block its table lookup touches.
     pub fn with_oracle(mut self, oracle: Arc<dyn TableOracle>) -> Self {
-        self.oracle = oracle;
-        self.addr_table_guess = None;
+        self.model = Arc::new(SharedModel::new(oracle, self.policy, self.warp_size));
         self
     }
 
@@ -95,42 +132,40 @@ impl AccessPredictor {
     /// column `ciphertexts[..][j]` directly — the form the 256-guess
     /// sweep uses, so the column is extracted once per byte position
     /// instead of once per (sample, guess) pair. Bit-identical to
-    /// `predict` on the same column: the RNG draw order and the
-    /// floating-point accumulation order are unchanged.
+    /// `predict` on the same column.
+    ///
+    /// Each warp's Monte-Carlo replays are accumulated as
+    /// `count / mc_samples`, added `mc_samples` times, in warp order.
     pub fn predict_bytes(&mut self, bytes: &[u8], guess: u8) -> f64 {
-        if self.addr_table_guess != Some(guess) {
-            // Per-lane pseudo-addresses: the block index of the thread's
-            // table lookup, scaled to the coalescing granularity. Only
-            // block identity matters for the count, and it depends only
-            // on (observed byte, guess) — 256 possible values.
-            let block_size = self.coalescer.block_size();
-            self.addr_table.clear();
-            self.addr_table
-                .extend((0..=255u8).map(|b| self.oracle.block_of(b, guess) * block_size));
-            self.addr_table_guess = Some(guess);
-        }
+        let row = self.model.table.row(guess);
+        let mc = self.mc_samples as f64;
+        // Only randomized policies (and partial warps) draw masks here.
+        let mut scratch: Option<SubwarpMasks> = None;
         let mut total = 0.0;
         for warp in bytes.chunks(self.warp_size) {
-            let table = &self.addr_table;
-            self.addrs_scratch.clear();
-            self.addrs_scratch
-                .extend(warp.iter().map(|&b| Some(table[usize::from(b)])));
+            let block_bit = |b: u8| 1u64 << row[usize::from(b)];
+            let fixed = self
+                .model
+                .fixed
+                .as_ref()
+                .filter(|m| m.warp_size() == warp.len());
             for _ in 0..self.mc_samples {
-                match self.policy.assignment(warp.len(), &mut self.rng) {
-                    Ok(assignment) => {
-                        total += self
-                            .coalescer
-                            .count_accesses(&assignment, &self.addrs_scratch)
-                            as f64
-                            / self.mc_samples as f64;
+                let drawn = match fixed {
+                    Some(m) => Ok(m),
+                    None => {
+                        let masks = scratch.get_or_insert_with(SubwarpMasks::new);
+                        self.policy
+                            .assignment_into(warp.len(), &mut self.rng, masks)
+                            .map(|()| &*masks)
                     }
-                    Err(_) => {
-                        // A policy that cannot split this (partial) warp —
-                        // e.g. FSS(8) on a 4-line tail — degrades to the
-                        // worst case of one access per thread.
-                        total += warp.len() as f64 / self.mc_samples as f64;
-                    }
-                }
+                };
+                total += match drawn {
+                    Ok(m) => m.count_distinct(warp, block_bit) as f64 / mc,
+                    // A policy that cannot split this (partial) warp —
+                    // e.g. FSS(8) on a 4-line tail — degrades to the
+                    // worst case of one access per thread.
+                    Err(_) => warp.len() as f64 / mc,
+                };
             }
         }
         total
@@ -262,9 +297,9 @@ mod tests {
 
     #[test]
     fn predict_bytes_is_bit_identical_to_predict() {
-        // The memoized byte-column path must replay the same RNG stream
-        // and the same f64 accumulation as the Block-based path, across
-        // guess switches (which rebuild the address table).
+        // The byte-column path must replay the same RNG stream and the
+        // same f64 accumulation as the Block-based path, across guess
+        // switches.
         let (cts, k10) = ciphertexts(96, b"0123456789abcdef");
         let column: Vec<u8> = cts.iter().map(|ct| ct[5]).collect();
         for policy in [
@@ -303,7 +338,7 @@ mod tests {
         blocks.sort_unstable();
         blocks.dedup();
         assert_eq!(predicted, blocks.len() as f64);
-        // Switching oracles invalidates the memoized address table.
+        // Switching oracles swaps the shared guess table.
         let aes_pred = p.with_oracle(aes_oracle()).predict(&texts, 0, key_byte);
         let mut aes_blocks: Vec<u8> = texts
             .iter()

@@ -1,6 +1,6 @@
 use crate::error::AttackError;
-use crate::oracle::{aes_oracle, TableOracle};
-use crate::predict::AccessPredictor;
+use crate::oracle::{aes_oracle, TableOracle, MAX_BLOCKS};
+use crate::predict::{AccessPredictor, SharedModel};
 use crate::stats::{argmax, pearson};
 use rcoal_aes::Block;
 use rcoal_core::CoalescingPolicy;
@@ -135,7 +135,9 @@ pub struct Attack {
     mc_samples: usize,
     threads: Option<usize>,
     metrics: Option<MetricsRegistry>,
-    oracle: Arc<dyn TableOracle>,
+    /// The oracle's guess table (and hoisted deterministic masks),
+    /// shared by every predictor this attack hands out.
+    model: Arc<SharedModel>,
 }
 
 impl Attack {
@@ -155,20 +157,36 @@ impl Attack {
             mc_samples: 1,
             threads: None,
             metrics: None,
-            oracle: aes_oracle(),
+            model: Arc::new(SharedModel::new(aes_oracle(), policy, warp_size.max(1))),
         }
     }
 
     /// Replaces the table oracle (AES-128 last round by default); the
     /// oracle also bounds the attacked byte range.
     pub fn with_oracle(mut self, oracle: Arc<dyn TableOracle>) -> Self {
-        self.oracle = oracle;
+        self.model = Arc::new(SharedModel::new(oracle, self.policy, self.warp_size.max(1)));
         self
     }
 
     /// Number of subkey bytes this attack sweeps.
     pub fn key_bytes(&self) -> usize {
-        self.oracle.key_bytes()
+        self.model.oracle().key_bytes()
+    }
+
+    /// Checks the limits of the predictor's bit masks: a warp of at most
+    /// 64 lanes and an oracle of at most 64 blocks. Every recovery entry
+    /// point runs this first.
+    pub(crate) fn check_limits(&self) -> Result<(), AttackError> {
+        if self.warp_size > rcoal_core::MAX_WARP_LANES {
+            return Err(AttackError::WarpTooWide {
+                warp_size: self.warp_size,
+            });
+        }
+        let blocks = self.model.oracle().block_count();
+        if blocks > MAX_BLOCKS {
+            return Err(AttackError::TooManyBlocks { blocks });
+        }
+        Ok(())
     }
 
     /// Sets the attacker-side randomness seed (RSS/RTS replays).
@@ -225,23 +243,31 @@ impl Attack {
     /// independent replay seed so randomized-policy replays do not share
     /// a stream across guesses).
     pub fn predictor_for_guess(&self, m: u8) -> AccessPredictor {
-        AccessPredictor::new(self.policy, self.warp_size, self.seed ^ u64::from(m))
-            .with_mc_samples(self.mc_samples)
-            .with_oracle(Arc::clone(&self.oracle))
+        AccessPredictor::with_model(
+            self.policy,
+            self.warp_size,
+            self.seed ^ u64::from(m),
+            Arc::clone(&self.model),
+        )
+        .with_mc_samples(self.mc_samples)
     }
 
     /// Computes the correlation of every guess for key byte `j`.
     ///
     /// # Errors
     ///
-    /// [`AttackError::ByteIndex`] for `j >= 16` and
-    /// [`AttackError::NoSamples`] for an empty sample set.
+    /// [`AttackError::ByteIndex`] for `j >= 16`,
+    /// [`AttackError::NoSamples`] for an empty sample set,
+    /// [`AttackError::WarpTooWide`] for a warp wider than 64 lanes, and
+    /// [`AttackError::TooManyBlocks`] for an oracle of more than 64
+    /// blocks.
     pub fn correlations_for_byte(
         &self,
         samples: &[AttackSample],
         j: usize,
     ) -> Result<Vec<f64>, AttackError> {
-        if j >= self.oracle.key_bytes() {
+        self.check_limits()?;
+        if j >= self.key_bytes() {
             return Err(AttackError::ByteIndex { j });
         }
         if samples.is_empty() {
@@ -255,8 +281,8 @@ impl Attack {
         // Hoist the byte-`j` ciphertext columns out of the sweep: every
         // guess reads the same column, so extracting them per guess
         // would redo `256 × samples × lines` block indexing. Together
-        // with the predictor's per-guess address table this memoizes
-        // everything about a plaintext that the 256 guesses share.
+        // with the shared guess table this memoizes everything about a
+        // plaintext that the 256 guesses share.
         let columns: Vec<Vec<u8>> = samples
             .iter()
             .map(|s| s.ciphertexts.iter().map(|ct| ct[j]).collect())
@@ -314,10 +340,11 @@ impl Attack {
     ///
     /// # Errors
     ///
-    /// [`AttackError::NoSamples`] for an empty sample set.
+    /// [`AttackError::NoSamples`] for an empty sample set, and the limit
+    /// errors of [`Attack::correlations_for_byte`].
     pub fn recover_key(&self, samples: &[AttackSample]) -> Result<KeyRecovery, AttackError> {
         let span = self.metrics.as_ref().map(|m| m.span("attack.recover_key"));
-        let bytes = (0..self.oracle.key_bytes())
+        let bytes = (0..self.key_bytes())
             .map(|j| self.recover_byte(samples, j))
             .collect::<Result<Vec<_>, _>>()?;
         if let Some(span) = span {

@@ -33,7 +33,7 @@ use crate::error::AttackError;
 use crate::online::even_checkpoints;
 use crate::predict::AccessPredictor;
 use crate::recover::{Attack, AttackSample, ByteRecovery, KeyRecovery};
-use rcoal_parallel::{parallel_map, resolve_threads};
+use rcoal_parallel::{parallel_for_each_mut, resolve_threads};
 
 /// Incremental Pearson correlation over a stream of `(x, y)` pairs,
 /// using bivariate Welford updates (centered moments) instead of raw
@@ -198,14 +198,25 @@ struct GuessLane {
     acc: PearsonAccumulator,
 }
 
+impl GuessLane {
+    /// Consumes one chunk in stream order.
+    fn consume(&mut self, columns: &[Vec<u8>], times: &[f64]) {
+        for (col, &t) in columns.iter().zip(times) {
+            let x = self.predictor.predict_bytes(col, self.guess);
+            self.acc.push(x, t);
+        }
+    }
+}
+
 /// Streaming recovery of one key byte: 256 [`GuessLane`]s fed chunk by
 /// chunk, parallelized per guess.
 ///
-/// Resident state is ~256 predictors + accumulators — independent of how
-/// many samples flow through. Determinism contract: lane `m` consumes
-/// the stream in order whatever the chunking, and lanes are independent,
-/// so the accumulator state (and therefore every correlation, argmax,
-/// and rank) is bit-identical at any thread count and chunk size.
+/// Resident state is ~256 predictors + accumulators plus the attack's
+/// shared guess table — independent of how many samples flow through.
+/// Determinism contract: lane `m` consumes the stream in order whatever
+/// the chunking, and lanes are independent, so the accumulator state
+/// (and therefore every correlation, argmax, and rank) is bit-identical
+/// at any thread count and chunk size.
 #[derive(Debug, Clone)]
 pub struct StreamingByteRecovery {
     lanes: Vec<GuessLane>,
@@ -220,8 +231,12 @@ impl StreamingByteRecovery {
     ///
     /// # Errors
     ///
-    /// [`AttackError::ByteIndex`] for `byte >= attack.key_bytes()`.
+    /// [`AttackError::ByteIndex`] for `byte >= attack.key_bytes()`,
+    /// [`AttackError::WarpTooWide`] for a warp wider than 64 lanes, and
+    /// [`AttackError::TooManyBlocks`] for an oracle of more than 64
+    /// blocks.
     pub fn new(attack: &Attack, byte: usize) -> Result<Self, AttackError> {
+        attack.check_limits()?;
         if byte >= attack.key_bytes() {
             return Err(AttackError::ByteIndex { j: byte });
         }
@@ -259,28 +274,9 @@ impl StreamingByteRecovery {
     ///
     /// The byte column is extracted once per sample (not once per
     /// guess), then each lane processes the chunk sequentially into its
-    /// own accumulator on a worker thread.
+    /// own accumulator on a worker thread, in place.
     pub fn push_chunk(&mut self, chunk: &[AttackSample]) {
-        if chunk.is_empty() {
-            return;
-        }
-        let byte = self.byte;
-        let columns: Vec<Vec<u8>> = chunk
-            .iter()
-            .map(|s| s.ciphertexts.iter().map(|ct| ct[byte]).collect())
-            .collect();
-        let times: Vec<f64> = chunk.iter().map(|s| s.time).collect();
-        let threads = resolve_threads(self.threads);
-        let lanes = std::mem::take(&mut self.lanes);
-        self.lanes = parallel_map(threads, &lanes, |_, lane| {
-            let mut lane = lane.clone();
-            for (col, &t) in columns.iter().zip(&times) {
-                let x = lane.predictor.predict_bytes(col, lane.guess);
-                lane.acc.push(x, t);
-            }
-            lane
-        });
-        self.n += chunk.len();
+        feed(std::slice::from_mut(self), chunk);
     }
 
     /// Current correlation of guess `m` (0.0 while degenerate).
@@ -343,8 +339,9 @@ impl StreamingKeyRecovery {
     ///
     /// # Errors
     ///
-    /// Never fails for a well-formed oracle; propagates
-    /// [`AttackError::ByteIndex`] defensively.
+    /// [`AttackError::WarpTooWide`] for a warp wider than 64 lanes and
+    /// [`AttackError::TooManyBlocks`] for an oracle of more than 64
+    /// blocks.
     pub fn new(attack: &Attack) -> Result<Self, AttackError> {
         let bytes = (0..attack.key_bytes())
             .map(|j| StreamingByteRecovery::new(attack, j))
@@ -367,11 +364,10 @@ impl StreamingKeyRecovery {
         &self.bytes
     }
 
-    /// Feeds one chunk of samples to every byte engine.
+    /// Feeds one chunk of samples to every byte engine, in one fan-out
+    /// over all `bytes × 256` guess lanes.
     pub fn push_chunk(&mut self, chunk: &[AttackSample]) {
-        for engine in &mut self.bytes {
-            engine.push_chunk(chunk);
-        }
+        feed(&mut self.bytes, chunk);
     }
 
     /// Snapshot of the full key recovery.
@@ -384,6 +380,37 @@ impl StreamingKeyRecovery {
                 .collect(),
         }
     }
+}
+
+/// Feeds `chunk` to every guess lane of `engines` in place, with one
+/// parallel fan-out over all of their lanes. Each lane consumes the
+/// chunk in stream order, so the result is the same at any thread count
+/// and however the stream is chunked.
+fn feed(engines: &mut [StreamingByteRecovery], chunk: &[AttackSample]) {
+    let Some(threads) = engines.first().map(|e| resolve_threads(e.threads)) else {
+        return;
+    };
+    if chunk.is_empty() {
+        return;
+    }
+    let times: Vec<f64> = chunk.iter().map(|s| s.time).collect();
+    let columns: Vec<Vec<Vec<u8>>> = engines
+        .iter()
+        .map(|e| {
+            chunk
+                .iter()
+                .map(|s| s.ciphertexts.iter().map(|ct| ct[e.byte]).collect())
+                .collect()
+        })
+        .collect();
+    let mut work: Vec<(&mut GuessLane, &[Vec<u8>])> = Vec::with_capacity(engines.len() * 256);
+    for (engine, cols) in engines.iter_mut().zip(&columns) {
+        engine.n += chunk.len();
+        work.extend(engine.lanes.iter_mut().map(|lane| (lane, cols.as_slice())));
+    }
+    parallel_for_each_mut(threads, &mut work, |_, (lane, cols)| {
+        lane.consume(cols, &times);
+    });
 }
 
 /// The early-termination rule: stop once the same guess has led for
@@ -1195,6 +1222,57 @@ mod tests {
             stream_recover_key(&attack, &mut source, &StreamOptions::new(0)).unwrap_err(),
             AttackError::NoSamples
         );
+    }
+
+    /// Every recovery entry point's answer for `attack` on `samples`.
+    fn entry_point_errors(attack: &Attack, samples: &[AttackSample]) -> Vec<AttackError> {
+        vec![
+            StreamingByteRecovery::new(attack, 0).unwrap_err(),
+            StreamingKeyRecovery::new(attack).unwrap_err(),
+            crate::OnlineByteRecovery::new(attack, 0).unwrap_err(),
+            attack.correlations_for_byte(samples, 0).unwrap_err(),
+            attack.recover_byte(samples, 0).unwrap_err(),
+            attack.recover_key(samples).unwrap_err(),
+        ]
+    }
+
+    #[test]
+    fn warps_past_the_lane_mask_are_typed_errors() {
+        let (samples, _) = leaky_samples(4, 0);
+        let wide = Attack::baseline(65);
+        for err in entry_point_errors(&wide, &samples) {
+            assert_eq!(err, AttackError::WarpTooWide { warp_size: 65 });
+        }
+        assert!(StreamingByteRecovery::new(&Attack::baseline(64), 0).is_ok());
+    }
+
+    #[test]
+    fn oracles_past_the_block_mask_are_typed_errors() {
+        /// 256 one-entry blocks, via the scanning `block_count` default.
+        #[derive(Debug)]
+        struct ByteBlocks;
+        impl crate::TableOracle for ByteBlocks {
+            fn key_bytes(&self) -> usize {
+                16
+            }
+            fn block_of(&self, b: u8, guess: u8) -> u64 {
+                u64::from(b ^ guess)
+            }
+        }
+        let (samples, _) = leaky_samples(4, 0);
+        for oracle in [
+            Arc::new(ByteBlocks) as Arc<dyn crate::TableOracle>,
+            Arc::new(crate::XorWhiteningOracle::new(1, 8)),
+        ] {
+            let attack = Attack::baseline(32).with_oracle(oracle);
+            let blocks = if attack.key_bytes() == 16 { 256 } else { 128 };
+            for err in entry_point_errors(&attack, &samples) {
+                assert_eq!(err, AttackError::TooManyBlocks { blocks });
+            }
+        }
+        // Four entries per block (shift 2) is exactly 64 blocks: accepted.
+        let edge = Attack::baseline(32).with_oracle(Arc::new(crate::XorWhiteningOracle::new(2, 8)));
+        assert!(edge.recover_byte(&samples, 0).is_ok());
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //!    the two-pass engine; argmax and the true byte's rank must match
 //!    the streamed verdict.
 //!
+//! 4. Throughput floor: with `RCOAL_MIN_SAMPLES_PER_SEC` set, the large
+//!    streamed leg (functional source + 256-guess predictor) must reach
+//!    that many samples per second. CI sizes it ~4x under a dev box, so
+//!    it catches the predictor or the functional source falling back to
+//!    per-prediction allocation, not scheduler noise.
+//!
 //! `RCOAL_SAMPLES` overrides the large-leg budget (default 1,000,000;
 //! CI uses a small value — the heap *ratio* is scale-free). Results
 //! land in `BENCH_attack.json` at the repo root.
@@ -178,6 +184,25 @@ fn run() -> Result<(), String> {
         if heap_independent { "ok" } else { "FAIL" }
     );
 
+    let samples_per_second = hi.samples as f64 / hi.seconds.max(1e-9);
+    let floor = std::env::var("RCOAL_MIN_SAMPLES_PER_SEC")
+        .ok()
+        .map(|v| {
+            v.parse::<f64>()
+                .map_err(|_| format!("RCOAL_MIN_SAMPLES_PER_SEC={v:?} is not a number"))
+        })
+        .transpose()?;
+    if let Some(floor) = floor {
+        println!(
+            "  throughput: {samples_per_second:.0} samples/s (floor {floor:.0}) -> {}",
+            if samples_per_second >= floor {
+                "ok"
+            } else {
+                "FAIL"
+            }
+        );
+    }
+
     // Differential cross-check against the materialized engine.
     let (mat_guess, mat_rank, mat_seconds) = materialized_verdict(large)?;
     let verdicts_match = mat_guess == hi.best_guess && mat_rank == hi.rank_of_true;
@@ -201,7 +226,7 @@ fn run() -> Result<(), String> {
         lo.peak_heap_bytes,
         hi.seconds,
         hi.peak_heap_bytes,
-        hi.samples as f64 / hi.seconds.max(1e-9),
+        samples_per_second,
         hi.best_guess,
         hi.rank_of_true,
         stop.samples,
@@ -220,6 +245,12 @@ fn run() -> Result<(), String> {
     }
     if !verdicts_match {
         return Err("streamed and materialized verdicts diverged".into());
+    }
+    if let Some(floor) = floor.filter(|&f| samples_per_second < f) {
+        return Err(format!(
+            "streamed functional leg at {samples_per_second:.0} samples/s, below the floor \
+             {floor:.0}"
+        ));
     }
     Ok(())
 }

@@ -1,4 +1,5 @@
-use crate::{PolicyError, SubwarpAssignment};
+use crate::subwarp::for_each_lane;
+use crate::{PolicyError, SubwarpAssignment, SubwarpMasks, MAX_WARP_LANES};
 
 /// One coalesced memory access produced by the coalescing unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,11 +129,11 @@ impl Coalescer {
         lane_addrs: &[Option<u64>],
     ) -> CoalesceResult {
         let mut accesses: Vec<MemAccess> = Vec::new();
-        for (sid, lanes) in assignment.lanes_by_subwarp().into_iter().enumerate() {
+        for (sid, &mask) in SubwarpMasks::from(assignment).masks().iter().enumerate() {
             let start = accesses.len();
-            for lane in lanes {
+            for_each_lane(mask, |lane| {
                 let Some(addr) = lane_addrs.get(lane).copied().flatten() else {
-                    continue;
+                    return;
                 };
                 let block_addr = addr & !(self.block_size - 1);
                 match accesses[start..]
@@ -146,35 +147,63 @@ impl Coalescer {
                         lane_mask: 1 << lane,
                     }),
                 }
-            }
+            });
         }
         CoalesceResult { accesses }
     }
 
     /// Counts coalesced accesses without materializing them — the fast path
-    /// used by the functional (timing-free) experiment mode and by attack
-    /// predictors.
+    /// used by the functional (timing-free) experiment mode. A thin
+    /// wrapper over [`Coalescer::count_masked`].
     pub fn count_accesses(
         &self,
         assignment: &SubwarpAssignment,
         lane_addrs: &[Option<u64>],
     ) -> usize {
-        let mut total = 0;
-        let mut blocks: Vec<u64> = Vec::with_capacity(8);
-        for lanes in assignment.lanes_by_subwarp() {
-            blocks.clear();
-            for lane in lanes {
-                let Some(addr) = lane_addrs.get(lane).copied().flatten() else {
-                    continue;
-                };
-                let block_addr = addr & !(self.block_size - 1);
-                if !blocks.contains(&block_addr) {
-                    blocks.push(block_addr);
-                    total += 1;
+        self.count_masked(&SubwarpMasks::from(assignment), lane_addrs)
+    }
+
+    /// Counts coalesced accesses of the subwarps `masks` — the number of
+    /// distinct (subwarp, block) pairs over the active lanes — without
+    /// allocating, in time linear in the warp width.
+    ///
+    /// The active lanes' blocks are numbered densely through a small
+    /// open-addressing table on the stack (a warp of at most
+    /// [`MAX_WARP_LANES`] lanes touches at most that many blocks, so the
+    /// table is never more than half full), then
+    /// [`SubwarpMasks::count_distinct`] counts each subwarp's distinct
+    /// ids with one popcount.
+    pub fn count_masked(&self, masks: &SubwarpMasks, lane_addrs: &[Option<u64>]) -> usize {
+        const SLOTS: usize = 2 * MAX_WARP_LANES;
+        let shift = self.block_size.trailing_zeros();
+        let mut blocks = [0u64; SLOTS];
+        let mut ids = [0u8; SLOTS];
+        let mut used: u128 = 0;
+        let mut next_id = 0u8;
+        let mut bits = [0u64; MAX_WARP_LANES];
+        for (bit, addr) in bits.iter_mut().zip(lane_addrs).take(masks.warp_size()) {
+            let Some(addr) = addr else {
+                continue;
+            };
+            let block = addr >> shift;
+            // Fibonacci hashing: the top 7 bits of the golden-ratio product.
+            let mut slot = (block.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 57) as usize;
+            let id = loop {
+                if used & (1 << slot) == 0 {
+                    used |= 1 << slot;
+                    blocks[slot] = block;
+                    ids[slot] = next_id;
+                    next_id += 1;
+                    break ids[slot];
                 }
-            }
+                if blocks[slot] == block {
+                    break ids[slot];
+                }
+                slot = (slot + 1) % SLOTS;
+            };
+            *bit = 1 << id;
         }
-        total
+        masks.count_distinct(&bits, |bit| bit)
     }
 }
 

@@ -34,6 +34,13 @@ pub enum PolicyError {
     },
     /// A warp of zero threads cannot be assigned subwarps.
     EmptyWarp,
+    /// The warp has more lanes than a `u64` lane mask can hold
+    /// ([`crate::MAX_WARP_LANES`]); the simulated GPU caps warps at the
+    /// same width.
+    WarpTooWide {
+        /// The offending warp size.
+        warp_size: usize,
+    },
 }
 
 impl fmt::Display for PolicyError {
@@ -61,6 +68,11 @@ impl fmt::Display for PolicyError {
                 write!(f, "block size {block_size} is not a positive power of two")
             }
             PolicyError::EmptyWarp => write!(f, "warp has no threads"),
+            PolicyError::WarpTooWide { warp_size } => write!(
+                f,
+                "warp of {warp_size} lanes exceeds the {}-lane mask limit",
+                crate::MAX_WARP_LANES
+            ),
         }
     }
 }
@@ -109,6 +121,7 @@ mod tests {
             PolicyError::InvalidSizes { sizes: vec![0, 4] },
             PolicyError::InvalidBlockSize { block_size: 0 },
             PolicyError::EmptyWarp,
+            PolicyError::WarpTooWide { warp_size: 65 },
         ];
         for e in errors {
             let msg = e.to_string();

@@ -54,10 +54,14 @@ pub use coalescer::{CoalesceResult, Coalescer, MemAccess};
 pub use error::{ParsePolicyError, PolicyError};
 pub use policy::{CoalescingPolicy, SizeDistribution, NORMAL_SIGMA_DIVISOR};
 pub use prt::{PendingRequestTable, PrtEntry};
-pub use subwarp::{NumSubwarps, SubwarpAssignment};
+pub use subwarp::{NumSubwarps, SubwarpAssignment, SubwarpMasks};
 
 /// Number of threads in a full warp on the simulated architecture (Table I).
 pub const WARP_SIZE: usize = 32;
+
+/// Widest warp the mask-based assignment and counting paths accept: one
+/// bit of a `u64` per lane ([`SubwarpMasks`]).
+pub const MAX_WARP_LANES: usize = 64;
 
 /// Size in bytes of one coalescing memory block.
 ///

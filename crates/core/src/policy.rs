@@ -1,4 +1,6 @@
-use crate::{NumSubwarps, ParsePolicyError, PolicyError, SubwarpAssignment};
+use crate::{
+    NumSubwarps, ParsePolicyError, PolicyError, SubwarpAssignment, SubwarpMasks, MAX_WARP_LANES,
+};
 
 use rcoal_rng::seq::SliceRandom;
 use rcoal_rng::Rng;
@@ -154,41 +156,75 @@ impl CoalescingPolicy {
     ///
     /// Deterministic policies ignore `rng`. The same `rng` state always
     /// yields the same assignment, so experiments are reproducible from a
-    /// seed.
+    /// seed. A thin wrapper over [`CoalescingPolicy::assignment_into`]:
+    /// both make exactly the same RNG calls.
     ///
     /// # Errors
     ///
-    /// Returns [`PolicyError::EmptyWarp`] for a zero-sized warp, and
-    /// [`PolicyError::OutOfRange`] if the configured subwarp count exceeds
-    /// `warp_size` (e.g. an FSS-of-32 policy applied to a 4-thread warp).
+    /// Same as [`CoalescingPolicy::assignment_into`].
     pub fn assignment<R: Rng + ?Sized>(
         &self,
         warp_size: usize,
         rng: &mut R,
     ) -> Result<SubwarpAssignment, PolicyError> {
+        let mut masks = SubwarpMasks::new();
+        self.assignment_into(warp_size, rng, &mut masks)?;
+        Ok(masks.to_assignment())
+    }
+
+    /// Draws one launch's subwarps into `out` as lane masks, without
+    /// allocating.
+    ///
+    /// The draw-order contract: this is the only implementation of the
+    /// policies' randomness. RSS draws its sizes first (skewed: one
+    /// Fisher–Yates shuffle of the `warp_size − 1` cut gaps; normal: a
+    /// Box–Muller pair per subwarp, then the repair draws), and RTS then
+    /// shuffles the `warp_size` lanes. Deterministic policies make no
+    /// draws. On error `out` is left unspecified and no draw is made.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolicyError::EmptyWarp`] for a zero-sized warp,
+    /// [`PolicyError::WarpTooWide`] past [`MAX_WARP_LANES`] lanes, and
+    /// [`PolicyError::OutOfRange`] / [`PolicyError::NotADivisor`] if the
+    /// configured subwarp count does not fit `warp_size` (e.g. an
+    /// FSS-of-32 policy applied to a 4-thread warp).
+    pub fn assignment_into<R: Rng + ?Sized>(
+        &self,
+        warp_size: usize,
+        rng: &mut R,
+        out: &mut SubwarpMasks,
+    ) -> Result<(), PolicyError> {
         if warp_size == 0 {
             return Err(PolicyError::EmptyWarp);
         }
+        if warp_size > MAX_WARP_LANES {
+            return Err(PolicyError::WarpTooWide { warp_size });
+        }
+        let mut sizes = [0usize; MAX_WARP_LANES];
         match *self {
-            CoalescingPolicy::Baseline => SubwarpAssignment::single(warp_size),
-            CoalescingPolicy::Disabled => SubwarpAssignment::fully_split(warp_size),
+            CoalescingPolicy::Baseline => out.set_in_order(&[warp_size]),
+            CoalescingPolicy::Disabled => out.set_in_order(&[1; MAX_WARP_LANES][..warp_size]),
             CoalescingPolicy::Fss { num_subwarps } => {
-                let sizes = fixed_sizes(warp_size, num_subwarps.get())?;
-                SubwarpAssignment::in_order(&sizes)
+                let m = fixed_sizes(warp_size, num_subwarps.get(), &mut sizes)?;
+                out.set_in_order(&sizes[..m]);
             }
             CoalescingPolicy::Rss { num_subwarps, dist } => {
-                let sizes = random_sizes(warp_size, num_subwarps.get(), dist, rng)?;
-                SubwarpAssignment::in_order(&sizes)
+                let m = random_sizes(warp_size, num_subwarps.get(), dist, rng, &mut sizes)?;
+                out.set_in_order(&sizes[..m]);
             }
             CoalescingPolicy::FssRts { num_subwarps } => {
-                let sizes = fixed_sizes(warp_size, num_subwarps.get())?;
-                SubwarpAssignment::permuted(&sizes, &random_permutation(warp_size, rng))
+                let m = fixed_sizes(warp_size, num_subwarps.get(), &mut sizes)?;
+                let perm = random_permutation(warp_size, rng);
+                out.set_permuted(&sizes[..m], &perm[..warp_size]);
             }
             CoalescingPolicy::RssRts { num_subwarps, dist } => {
-                let sizes = random_sizes(warp_size, num_subwarps.get(), dist, rng)?;
-                SubwarpAssignment::permuted(&sizes, &random_permutation(warp_size, rng))
+                let m = random_sizes(warp_size, num_subwarps.get(), dist, rng, &mut sizes)?;
+                let perm = random_permutation(warp_size, rng);
+                out.set_permuted(&sizes[..m], &perm[..warp_size]);
             }
         }
+        Ok(())
     }
 
     /// Number of subwarps this policy splits a `warp_size`-thread warp
@@ -327,7 +363,11 @@ fn parse_subwarp_count(m_str: &str, spec: &str) -> Result<usize, ParsePolicyErro
         .map_err(|_| ParsePolicyError::new(format!("invalid subwarp count {m_str:?} in {spec:?}")))
 }
 
-fn fixed_sizes(warp_size: usize, m: usize) -> Result<Vec<usize>, PolicyError> {
+/// Stack storage for one warp's subwarp sizes.
+type Sizes = [usize; MAX_WARP_LANES];
+
+/// Writes `m` equal FSS sizes into `sizes`; returns `m`.
+fn fixed_sizes(warp_size: usize, m: usize, sizes: &mut Sizes) -> Result<usize, PolicyError> {
     if m > warp_size {
         return Err(PolicyError::OutOfRange {
             num_subwarps: m,
@@ -340,69 +380,75 @@ fn fixed_sizes(warp_size: usize, m: usize) -> Result<Vec<usize>, PolicyError> {
             warp_size,
         });
     }
-    Ok(vec![warp_size / m; m])
+    sizes[..m].fill(warp_size / m);
+    Ok(m)
 }
 
-/// Draws subwarp sizes for RSS.
-pub(crate) fn random_sizes<R: Rng + ?Sized>(
+/// Draws RSS subwarp sizes into `sizes`; returns the subwarp count.
+/// Callers guarantee `warp_size ≤ MAX_WARP_LANES`.
+fn random_sizes<R: Rng + ?Sized>(
     warp_size: usize,
     m: usize,
     dist: SizeDistribution,
     rng: &mut R,
-) -> Result<Vec<usize>, PolicyError> {
+    sizes: &mut Sizes,
+) -> Result<usize, PolicyError> {
     if m == 0 || m > warp_size {
         return Err(PolicyError::OutOfRange {
             num_subwarps: m,
             warp_size,
         });
     }
-    Ok(match dist {
-        SizeDistribution::Skewed => skewed_sizes(warp_size, m, rng),
-        SizeDistribution::Normal => normal_sizes(warp_size, m, rng),
-    })
+    match dist {
+        SizeDistribution::Skewed => skewed_sizes(warp_size, m, rng, sizes),
+        SizeDistribution::Normal => normal_sizes(warp_size, m, rng, sizes),
+    }
+    Ok(m)
 }
 
 /// Uniform over compositions of `n` into `m` positive parts, via the
 /// stars-and-bars bijection: choose `m - 1` distinct cut points among the
 /// `n - 1` gaps between the `n` threads.
-fn skewed_sizes<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Vec<usize> {
-    debug_assert!(m >= 1 && m <= n);
+fn skewed_sizes<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R, sizes: &mut Sizes) {
+    debug_assert!(m >= 1 && m <= n && n <= MAX_WARP_LANES);
     if m == 1 {
-        return vec![n];
+        sizes[0] = n;
+        return;
     }
-    let mut gaps: Vec<usize> = (1..n).collect();
-    gaps.shuffle(rng);
-    let mut cuts: Vec<usize> = gaps[..m - 1].to_vec();
+    let mut gaps = [0u8; MAX_WARP_LANES];
+    for (g, slot) in (1..n).zip(gaps.iter_mut()) {
+        *slot = g as u8;
+    }
+    gaps[..n - 1].shuffle(rng);
+    let cuts = &mut gaps[..m - 1];
     cuts.sort_unstable();
-    let mut sizes = Vec::with_capacity(m);
     let mut prev = 0;
-    for c in cuts {
-        sizes.push(c - prev);
-        prev = c;
+    for (size, &cut) in sizes.iter_mut().zip(cuts.iter()) {
+        *size = usize::from(cut) - prev;
+        prev = usize::from(cut);
     }
-    sizes.push(n - prev);
-    sizes
+    sizes[m - 1] = n - prev;
 }
 
 /// Sizes drawn iid from a normal centred on the FSS mean, rounded, clamped
 /// to at least 1, then repaired so the total is exactly `n`.
-fn normal_sizes<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Vec<usize> {
-    debug_assert!(m >= 1 && m <= n);
+fn normal_sizes<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R, sizes: &mut Sizes) {
+    debug_assert!(m >= 1 && m <= n && n <= MAX_WARP_LANES);
     if m == 1 {
-        return vec![n];
+        sizes[0] = n;
+        return;
     }
     let mean = n as f64 / m as f64;
     let sigma = (mean / NORMAL_SIGMA_DIVISOR).max(0.25);
-    let mut sizes: Vec<usize> = (0..m)
-        .map(|_| {
-            // Box–Muller from two uniforms keeps the draw on the
-            // workspace's own `rcoal-rng` generator.
-            let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            let u2: f64 = rng.gen_range(0.0f64..1.0);
-            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            ((mean + sigma * z).round() as i64).max(1) as usize
-        })
-        .collect();
+    let sizes = &mut sizes[..m];
+    for size in sizes.iter_mut() {
+        // Box–Muller from two uniforms keeps the draw on the
+        // workspace's own `rcoal-rng` generator.
+        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+        let u2: f64 = rng.gen_range(0.0f64..1.0);
+        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        *size = ((mean + sigma * z).round() as i64).max(1) as usize;
+    }
     // Repair pass: add/remove one thread at a time, never emptying a
     // subwarp, until the sizes sum to the warp size.
     loop {
@@ -414,18 +460,26 @@ fn normal_sizes<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Vec<usize> 
                 sizes[i] += 1;
             }
             std::cmp::Ordering::Greater => {
-                let candidates: Vec<usize> = (0..m).filter(|&i| sizes[i] > 1).collect();
-                let i = candidates[rng.gen_range(0..candidates.len())];
+                let mut candidates = [0usize; MAX_WARP_LANES];
+                let mut k = 0;
+                for (i, _) in sizes.iter().enumerate().filter(|(_, &s)| s > 1) {
+                    candidates[k] = i;
+                    k += 1;
+                }
+                let i = candidates[rng.gen_range(0..k)];
                 sizes[i] -= 1;
             }
         }
     }
-    sizes
 }
 
-fn random_permutation<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<usize> {
-    let mut perm: Vec<usize> = (0..n).collect();
-    perm.shuffle(rng);
+/// A uniformly random permutation of the lanes `0..n` (`n ≤ 64`).
+fn random_permutation<R: Rng + ?Sized>(n: usize, rng: &mut R) -> [u8; MAX_WARP_LANES] {
+    let mut perm = [0u8; MAX_WARP_LANES];
+    for (lane, slot) in perm.iter_mut().enumerate() {
+        *slot = lane as u8;
+    }
+    perm[..n].shuffle(rng);
     perm
 }
 
@@ -438,6 +492,16 @@ mod tests {
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    /// The drawn sizes as a vector (test convenience over the stack
+    /// buffers).
+    fn drawn(
+        draw: impl FnOnce(&mut Sizes) -> Result<usize, PolicyError>,
+    ) -> Result<Vec<usize>, PolicyError> {
+        let mut sizes = [0; MAX_WARP_LANES];
+        let m = draw(&mut sizes)?;
+        Ok(sizes[..m].to_vec())
     }
 
     #[test]
@@ -503,7 +567,7 @@ mod tests {
         let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
         let mut r = rng(7);
         for _ in 0..3000 {
-            let sizes = skewed_sizes(4, 2, &mut r);
+            let sizes = drawn(|s| random_sizes(4, 2, SizeDistribution::Skewed, &mut r, s)).unwrap();
             *counts.entry(sizes).or_default() += 1;
         }
         assert_eq!(counts.len(), 3);
@@ -521,7 +585,7 @@ mod tests {
         let spread = |dist: SizeDistribution, r: &mut StdRng| {
             let mut var_sum = 0.0;
             for _ in 0..500 {
-                let sizes = random_sizes(32, 4, dist, r).unwrap();
+                let sizes = drawn(|s| random_sizes(32, 4, dist, r, s)).unwrap();
                 let mean = 8.0;
                 var_sum += sizes
                     .iter()
@@ -565,10 +629,57 @@ mod tests {
     }
 
     #[test]
+    fn assignment_into_matches_assignment_draw_for_draw() {
+        use rcoal_rng::RngCore;
+        let mut policies = vec![CoalescingPolicy::Baseline, CoalescingPolicy::Disabled];
+        for m in [1, 2, 4, 8] {
+            policies.push(CoalescingPolicy::fss(m).unwrap());
+            policies.push(CoalescingPolicy::fss_rts(m).unwrap());
+            for dist in [SizeDistribution::Skewed, SizeDistribution::Normal] {
+                let num_subwarps = NumSubwarps::new_unaligned(m, 32).unwrap();
+                policies.push(CoalescingPolicy::Rss { num_subwarps, dist });
+                policies.push(CoalescingPolicy::RssRts { num_subwarps, dist });
+            }
+        }
+        for policy in policies {
+            for width in [1, 4, 31, 32] {
+                let (mut a, mut b) = (rng(17), rng(17));
+                let mut masks = SubwarpMasks::new();
+                let into = policy.assignment_into(width, &mut a, &mut masks);
+                let full = policy.assignment(width, &mut b);
+                assert_eq!(
+                    into.map(|()| masks.to_assignment()),
+                    full,
+                    "{policy} w={width}"
+                );
+                // Same number of draws: the streams stay in lock step.
+                assert_eq!(a.next_u64(), b.next_u64(), "{policy} w={width}");
+            }
+        }
+    }
+
+    #[test]
+    fn warps_wider_than_a_mask_are_rejected() {
+        let mut masks = SubwarpMasks::new();
+        for policy in [
+            CoalescingPolicy::Baseline,
+            CoalescingPolicy::rss_rts(4).unwrap(),
+        ] {
+            assert_eq!(
+                policy.assignment_into(65, &mut rng(0), &mut masks),
+                Err(PolicyError::WarpTooWide { warp_size: 65 })
+            );
+            assert!(policy.assignment_into(64, &mut rng(0), &mut masks).is_ok());
+            assert_eq!(masks.warp_size(), 64);
+        }
+    }
+
+    #[test]
     fn normal_sizes_respect_invariants() {
         let mut r = rng(5);
         for _ in 0..200 {
-            let sizes = normal_sizes(32, 8, &mut r);
+            let sizes =
+                drawn(|s| random_sizes(32, 8, SizeDistribution::Normal, &mut r, s)).unwrap();
             assert_eq!(sizes.iter().sum::<usize>(), 32);
             assert!(sizes.iter().all(|&s| s >= 1));
         }

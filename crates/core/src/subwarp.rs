@@ -1,4 +1,4 @@
-use crate::PolicyError;
+use crate::{PolicyError, MAX_WARP_LANES};
 
 /// A validated number of subwarps for fixed-sized subwarping.
 ///
@@ -95,9 +95,9 @@ impl SubwarpAssignment {
     /// # Errors
     ///
     /// Returns [`PolicyError::InvalidSizes`] if any size is zero or the
-    /// sizes are empty, and [`PolicyError::OutOfRange`] if there are more
-    /// than 256 subwarps (sid is stored in a byte; real warps have ≤ 32
-    /// lanes).
+    /// sizes are empty, and [`PolicyError::WarpTooWide`] if the sizes sum
+    /// past [`MAX_WARP_LANES`] (every lane must fit a `u64` lane mask;
+    /// real warps have ≤ 32 lanes).
     pub fn in_order(sizes: &[usize]) -> Result<Self, PolicyError> {
         Self::validate_sizes(sizes)?;
         let total: usize = sizes.iter().sum();
@@ -159,12 +159,15 @@ impl SubwarpAssignment {
     /// # Errors
     ///
     /// Returns [`PolicyError::EmptyWarp`] if `warp_size` is zero and
-    /// [`PolicyError::OutOfRange`] if `warp_size` exceeds 256.
+    /// [`PolicyError::WarpTooWide`] if it exceeds [`MAX_WARP_LANES`].
     pub fn fully_split(warp_size: usize) -> Result<Self, PolicyError> {
         if warp_size == 0 {
             return Err(PolicyError::EmptyWarp);
         }
-        Self::in_order(&vec![1; warp_size])
+        if warp_size > MAX_WARP_LANES {
+            return Err(PolicyError::WarpTooWide { warp_size });
+        }
+        Self::in_order(&[1; MAX_WARP_LANES][..warp_size])
     }
 
     fn validate_sizes(sizes: &[usize]) -> Result<(), PolicyError> {
@@ -173,11 +176,9 @@ impl SubwarpAssignment {
                 sizes: sizes.to_vec(),
             });
         }
-        if sizes.len() > 256 {
-            return Err(PolicyError::OutOfRange {
-                num_subwarps: sizes.len(),
-                warp_size: sizes.iter().sum(),
-            });
+        let warp_size: usize = sizes.iter().sum();
+        if warp_size > MAX_WARP_LANES {
+            return Err(PolicyError::WarpTooWide { warp_size });
         }
         Ok(())
     }
@@ -222,6 +223,177 @@ impl SubwarpAssignment {
             sizes[s as usize] += 1;
         }
         sizes
+    }
+}
+
+/// A warp's subwarps as lane masks: bit `lane` of `masks()[sid]` is set
+/// when `lane` belongs to subwarp `sid`.
+///
+/// The allocation-free twin of [`SubwarpAssignment`]. It lives on the
+/// stack (one `u64` per subwarp, at most [`MAX_WARP_LANES`] of them), so
+/// [`crate::CoalescingPolicy::assignment_into`] can redraw it for every
+/// prediction without touching the heap, and the distinct-block count of
+/// a subwarp is one popcount of OR'd block bits
+/// ([`SubwarpMasks::count_distinct`]).
+///
+/// ```
+/// use rcoal_core::{SubwarpAssignment, SubwarpMasks};
+///
+/// let a = SubwarpAssignment::permuted(&[2, 2], &[0, 2, 1, 3])?;
+/// let masks = SubwarpMasks::from(&a);
+/// assert_eq!(masks.masks(), &[0b0101, 0b1010]);
+/// assert_eq!(masks.to_assignment(), a);
+/// # Ok::<(), rcoal_core::PolicyError>(())
+/// ```
+#[derive(Clone, Copy)]
+pub struct SubwarpMasks {
+    masks: [u64; MAX_WARP_LANES],
+    len: usize,
+    warp_size: usize,
+}
+
+impl Default for SubwarpMasks {
+    fn default() -> Self {
+        SubwarpMasks {
+            masks: [0; MAX_WARP_LANES],
+            len: 0,
+            warp_size: 0,
+        }
+    }
+}
+
+impl std::fmt::Debug for SubwarpMasks {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SubwarpMasks")
+            .field("warp_size", &self.warp_size)
+            .field("masks", &self.masks())
+            .finish()
+    }
+}
+
+impl SubwarpMasks {
+    /// An empty mask set (no subwarps, zero lanes) to be filled by
+    /// [`crate::CoalescingPolicy::assignment_into`].
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The lane mask of every subwarp, indexed by sid.
+    pub fn masks(&self) -> &[u64] {
+        &self.masks[..self.len]
+    }
+
+    /// Number of subwarps.
+    pub fn num_subwarps(&self) -> usize {
+        self.len
+    }
+
+    /// Number of lanes covered.
+    pub fn warp_size(&self) -> usize {
+        self.warp_size
+    }
+
+    /// The materialized per-lane form of the same partition.
+    pub fn to_assignment(&self) -> SubwarpAssignment {
+        let mut sid = vec![0u8; self.warp_size];
+        for (s, &mask) in self.masks().iter().enumerate() {
+            for_each_lane(mask, |lane| sid[lane] = s as u8);
+        }
+        SubwarpAssignment {
+            sid,
+            num_subwarps: self.len,
+        }
+    }
+
+    /// Sets in-order subwarps of the given sizes (lanes `0..sizes[0]` in
+    /// sid 0, and so on). Callers guarantee `1 ≤ sizes[i]` and
+    /// `Σ sizes ≤ MAX_WARP_LANES`.
+    pub(crate) fn set_in_order(&mut self, sizes: &[usize]) {
+        let mut offset = 0;
+        for (slot, &size) in self.masks.iter_mut().zip(sizes) {
+            *slot = low_bits(size) << offset;
+            offset += size;
+        }
+        self.len = sizes.len();
+        self.warp_size = offset;
+    }
+
+    /// Sets subwarps of the given sizes over a lane permutation: slot
+    /// `i` of the in-order layout holds lane `perm[i]` (the RTS mapping
+    /// of [`SubwarpAssignment::permuted`]).
+    pub(crate) fn set_permuted(&mut self, sizes: &[usize], perm: &[u8]) {
+        let mut lanes = perm.iter();
+        for (slot, &size) in self.masks.iter_mut().zip(sizes) {
+            *slot = lanes.by_ref().take(size).fold(0, |m, &l| m | 1 << l);
+        }
+        self.len = sizes.len();
+        self.warp_size = perm.len();
+    }
+
+    /// Total distinct blocks over all subwarps: for each subwarp, the
+    /// popcount of the OR of its lanes' block bits.
+    ///
+    /// `block_bit(lanes[lane])` is the one-hot bit of the lane's block id
+    /// (`1 << id`, ids `< 64`), or `0` for an inactive lane; lanes past
+    /// the end of `lanes` count as inactive. Ids only need to be
+    /// consistent within one call, so callers may use dense per-warp ids
+    /// ([`crate::Coalescer::count_masked`]) or a table's block indices
+    /// directly (the attack predictor maps each lane's observed byte).
+    pub fn count_distinct<T: Copy>(&self, lanes: &[T], block_bit: impl Fn(T) -> u64) -> usize {
+        self.masks()
+            .iter()
+            .map(|&mask| {
+                let lo = mask.trailing_zeros();
+                let run = mask.checked_shr(lo).unwrap_or(0);
+                let blocks = if run & run.wrapping_add(1) == 0 {
+                    // In-order subwarp (all but the RTS policies): one
+                    // contiguous lane range.
+                    let lo = (lo as usize).min(lanes.len());
+                    let hi = (lo + run.count_ones() as usize).min(lanes.len());
+                    lanes[lo..hi].iter().fold(0, |acc, &t| acc | block_bit(t))
+                } else {
+                    let mut acc = 0u64;
+                    for_each_lane(mask, |lane| {
+                        acc |= lanes.get(lane).map_or(0, |&t| block_bit(t));
+                    });
+                    acc
+                };
+                blocks.count_ones() as usize
+            })
+            .sum()
+    }
+}
+
+impl From<&SubwarpAssignment> for SubwarpMasks {
+    fn from(assignment: &SubwarpAssignment) -> Self {
+        // Constructors cap assignments at MAX_WARP_LANES lanes, and no
+        // subwarp is empty, so every lane and sid fits.
+        let mut out = SubwarpMasks {
+            len: assignment.num_subwarps,
+            warp_size: assignment.warp_size(),
+            ..SubwarpMasks::default()
+        };
+        for (lane, s) in assignment.iter() {
+            out.masks[usize::from(s)] |= 1 << lane;
+        }
+        out
+    }
+}
+
+/// The `n` lowest bits set (`n ≤ 64`).
+fn low_bits(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1 << n) - 1
+    }
+}
+
+/// Calls `f(lane)` for every set bit of `mask`, lowest lane first.
+pub(crate) fn for_each_lane(mut mask: u64, mut f: impl FnMut(usize)) {
+    while mask != 0 {
+        f(mask.trailing_zeros() as usize);
+        mask &= mask - 1;
     }
 }
 
@@ -311,6 +483,58 @@ mod tests {
 
         assert!(SubwarpAssignment::single(0).is_err());
         assert!(SubwarpAssignment::fully_split(0).is_err());
+    }
+
+    #[test]
+    fn assignments_are_capped_at_the_mask_width() {
+        assert!(SubwarpAssignment::single(64).is_ok());
+        assert_eq!(
+            SubwarpAssignment::single(65),
+            Err(PolicyError::WarpTooWide { warp_size: 65 })
+        );
+        assert_eq!(
+            SubwarpAssignment::fully_split(1000),
+            Err(PolicyError::WarpTooWide { warp_size: 1000 })
+        );
+        assert!(SubwarpAssignment::in_order(&[40, 30]).is_err());
+    }
+
+    #[test]
+    fn masks_round_trip_through_assignments() {
+        for a in [
+            SubwarpAssignment::single(64).unwrap(),
+            SubwarpAssignment::fully_split(32).unwrap(),
+            SubwarpAssignment::in_order(&[1, 3, 4]).unwrap(),
+            SubwarpAssignment::permuted(&[1, 3], &[3, 0, 1, 2]).unwrap(),
+        ] {
+            let masks = SubwarpMasks::from(&a);
+            assert_eq!(masks.num_subwarps(), a.num_subwarps());
+            assert_eq!(masks.warp_size(), a.warp_size());
+            assert_eq!(masks.to_assignment(), a);
+            // Masks partition the lanes.
+            let all = masks.masks().iter().fold(0u64, |acc, &m| {
+                assert_eq!(acc & m, 0);
+                acc | m
+            });
+            assert_eq!(all, low_bits(a.warp_size()));
+        }
+    }
+
+    #[test]
+    fn count_distinct_is_a_per_subwarp_popcount() {
+        // Lanes 0,1 hit block 3; lanes 2,3 hit blocks 3 and 5.
+        let mut bits = [1u64 << 3, 1 << 3, 1 << 3, 1 << 5];
+        let in_order = SubwarpMasks::from(&SubwarpAssignment::in_order(&[2, 2]).unwrap());
+        assert_eq!(in_order.count_distinct(&bits, |b| b), 3);
+        // Interleaved subwarps {0, 2} and {1, 3}: {3} and {3, 5}.
+        let rts = SubwarpMasks::from(&SubwarpAssignment::permuted(&[2, 2], &[0, 2, 1, 3]).unwrap());
+        assert_eq!(rts.count_distinct(&bits, |b| b), 3);
+        // An inactive lane contributes nothing.
+        bits[3] = 0;
+        assert_eq!(in_order.count_distinct(&bits, |b| b), 2);
+        assert_eq!(rts.count_distinct(&bits, |b| b), 2);
+        // Lanes past the slice are inactive.
+        assert_eq!(in_order.count_distinct(&bits[..1], |b| b), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::workload::{random_plaintexts, DEMO_KEY};
 use rcoal_aes::{Block, LAST_ROUND_TAG_BASE};
 use rcoal_attack::AttackSample;
 use rcoal_audit::{AuditSpec, LeakageReport};
-use rcoal_core::{Coalescer, CoalescingPolicy};
+use rcoal_core::{Coalescer, CoalescingPolicy, SubwarpMasks};
 use rcoal_gpu_sim::{
     FaultPlan, GpuConfig, GpuSimulator, Kernel, LaunchPolicy, SimTelemetry, TraceInstr,
 };
@@ -12,7 +12,7 @@ use rcoal_parallel::{resolve_threads, try_parallel_map, try_parallel_map_metered
 use rcoal_rng::SeedableRng;
 use rcoal_rng::StdRng;
 use rcoal_telemetry::MetricsRegistry;
-use rcoal_workload::KernelWorkload;
+use rcoal_workload::{KernelBuilder, KernelWorkload};
 use std::sync::Arc;
 
 /// Which measurement plays the role of the attacker's timing observation.
@@ -268,22 +268,15 @@ impl ExperimentConfig {
     pub fn run(&self) -> Result<ExperimentData, ExperimentError> {
         self.validate()?;
         let span = self.host_metrics.as_ref().map(|m| m.span("experiment.run"));
-        let workload = rcoal_workload::find(&self.workload).ok_or_else(|| {
-            ExperimentError::Config(format!("unknown workload '{}'", self.workload))
-        })?;
+        let launcher = self.launcher(Counted::Every)?;
         let plaintexts = random_plaintexts(self.num_plaintexts, self.lines, self.seed);
-        let sim = GpuSimulator::new(self.gpu.clone());
-        let coalescer = Coalescer::with_block_size(self.gpu.block_size)?;
-        let launch = self.launch.unwrap_or(LaunchPolicy::Uniform(self.policy));
 
         // Launches are independent by construction — plaintext `i` draws
         // its policy randomness from its own `launch_seed` — so they fan
         // out across worker threads; results come back in plaintext
         // order, making the data bit-identical to a sequential run.
         let threads = resolve_threads(self.threads);
-        let map = |i: usize, lines: &Vec<Block>| {
-            self.run_one_launch(workload, i, lines, &sim, &coalescer, launch)
-        };
+        let map = |i: usize, lines: &Vec<Block>| self.run_one_launch(&launcher, i, lines);
         let launches = if let Some(metrics) = &self.host_metrics {
             let (result, report) = try_parallel_map_metered(threads, &plaintexts, map);
             report.record_into(metrics, "launches");
@@ -349,6 +342,28 @@ impl ExperimentConfig {
         Ok((data, report))
     }
 
+    /// Everything this configuration's launches share: the registry
+    /// workload with its key bound once, the simulator, the coalescer and
+    /// the launch policy.
+    ///
+    /// # Errors
+    ///
+    /// [`ExperimentError::Config`] for an unknown workload and policy
+    /// errors for an invalid block size.
+    pub(crate) fn launcher(&self, counted: Counted) -> Result<Launcher, ExperimentError> {
+        let workload = rcoal_workload::find(&self.workload).ok_or_else(|| {
+            ExperimentError::Config(format!("unknown workload '{}'", self.workload))
+        })?;
+        Ok(Launcher {
+            workload,
+            build: workload.keyed(&self.key),
+            sim: GpuSimulator::new(self.gpu.clone()),
+            coalescer: Coalescer::with_block_size(self.gpu.block_size)?,
+            launch: self.launch.unwrap_or(LaunchPolicy::Uniform(self.policy)),
+            counted,
+        })
+    }
+
     /// One kernel launch (plaintext `i`): encrypts, simulates (or
     /// functionally counts), and returns everything the experiment
     /// records about it. Runs on worker threads; must depend only on its
@@ -356,14 +371,20 @@ impl ExperimentConfig {
     /// generates launches through the exact same path.
     pub(crate) fn run_one_launch(
         &self,
-        workload: &dyn KernelWorkload,
+        launcher: &Launcher,
         i: usize,
         lines: &[Block],
-        sim: &GpuSimulator,
-        coalescer: &Coalescer,
-        launch: LaunchPolicy,
     ) -> Result<LaunchData, ExperimentError> {
-        let kernel = workload.build_kernel(&self.key, lines.to_vec(), self.gpu.warp_size);
+        let Launcher {
+            workload,
+            build,
+            sim,
+            coalescer,
+            launch,
+            counted,
+        } = launcher;
+        let (launch, workload) = (*launch, *workload);
+        let kernel = build(lines.to_vec(), self.gpu.warp_size);
         // One kernel launch per plaintext; each launch re-draws the
         // policy randomness from its own seed.
         let launch_seed = self.seed.wrapping_add(1 + i as u64);
@@ -398,13 +419,36 @@ impl ExperimentConfig {
             out.last_round_cycles = stats.try_cycles_after_round(workload.timing_boundary_round());
             out.total_cycles = Some(stats.total_cycles);
         } else {
-            let counts = functional_counts(&kernel, launch, launch_seed, coalescer, &self.gpu)?;
+            let counts =
+                functional_counts(&kernel, launch, launch_seed, coalescer, &self.gpu, *counted)?;
             out.by_byte = counts.by_byte;
             out.total_accesses = counts.total;
             out.total_requests = counts.requests;
         }
         Ok(out)
     }
+}
+
+/// Which loads a functional (timing-free) launch counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Counted {
+    /// Every load: the materialized run records totals and requests.
+    Every,
+    /// Only the tagged attacked-round loads: a streaming source reads
+    /// nothing but the per-byte counts, so `total_accesses` and
+    /// `total_requests` then cover those loads only.
+    Attacked,
+}
+
+/// What every launch of one experiment shares (see
+/// [`ExperimentConfig::launcher`]).
+pub(crate) struct Launcher {
+    pub(crate) workload: &'static dyn KernelWorkload,
+    build: KernelBuilder,
+    sim: GpuSimulator,
+    coalescer: Coalescer,
+    launch: LaunchPolicy,
+    counted: Counted,
 }
 
 /// Everything one launch contributes to [`ExperimentData`].
@@ -426,13 +470,14 @@ struct FunctionalCounts {
 
 /// Counts coalesced accesses without the cycle model, drawing the same
 /// per-warp subwarp assignments the simulator would (same seed, same warp
-/// order).
+/// order) — for every warp, whichever loads `counted` selects.
 fn functional_counts(
     kernel: &dyn Kernel,
     launch: LaunchPolicy,
     launch_seed: u64,
     coalescer: &Coalescer,
     gpu: &GpuConfig,
+    counted: Counted,
 ) -> Result<FunctionalCounts, ExperimentError> {
     let mut rng = StdRng::seed_from_u64(launch_seed);
     let mut counts = FunctionalCounts {
@@ -441,29 +486,35 @@ fn functional_counts(
         by_byte: [0; 16],
     };
     let (default_policy, vulnerable_policy) = launch.policies();
+    let uniform = matches!(launch, LaunchPolicy::Uniform(_));
+    let (mut masks, mut vulnerable_masks) = (SubwarpMasks::new(), SubwarpMasks::new());
     for w in 0..kernel.num_warps() {
         let width = kernel.warp_width(w).min(gpu.warp_size);
         // Same draw order as the simulator's launch stage, so seeded
         // functional runs reproduce its assignments exactly.
-        let assignment = default_policy.assignment(width, &mut rng)?;
-        let vulnerable_assignment = if matches!(launch, LaunchPolicy::Uniform(_)) {
-            assignment.clone()
-        } else {
-            vulnerable_policy.assignment(width, &mut rng)?
-        };
+        default_policy.assignment_into(width, &mut rng, &mut masks)?;
+        // A uniform launch has no vulnerable tags, so it draws once.
+        if !uniform {
+            vulnerable_policy.assignment_into(width, &mut rng, &mut vulnerable_masks)?;
+        }
         for instr in kernel.trace(w).instrs() {
-            if let TraceInstr::Load { addrs, tag } = instr {
-                let a = if launch.is_vulnerable_tag(*tag) {
-                    &vulnerable_assignment
-                } else {
-                    &assignment
-                };
-                let n = coalescer.count_accesses(a, addrs) as u64;
-                counts.total += n;
-                counts.requests += addrs.iter().filter(|a| a.is_some()).count() as u64;
-                if *tag >= LAST_ROUND_TAG_BASE {
-                    counts.by_byte[usize::from(tag - LAST_ROUND_TAG_BASE)] += n;
-                }
+            let TraceInstr::Load { addrs, tag } = instr else {
+                continue;
+            };
+            let attacked = *tag >= LAST_ROUND_TAG_BASE;
+            if counted == Counted::Attacked && !attacked {
+                continue;
+            }
+            let m = if launch.is_vulnerable_tag(*tag) {
+                &vulnerable_masks
+            } else {
+                &masks
+            };
+            let n = coalescer.count_masked(m, addrs) as u64;
+            counts.total += n;
+            counts.requests += addrs.iter().filter(|a| a.is_some()).count() as u64;
+            if attacked {
+                counts.by_byte[usize::from(tag - LAST_ROUND_TAG_BASE)] += n;
             }
         }
     }

@@ -11,11 +11,9 @@
 //! budgets run with peak heap independent of the sample count.
 
 use crate::error::ExperimentError;
-use crate::run::{ExperimentConfig, TimingSource};
+use crate::run::{Counted, ExperimentConfig, Launcher, TimingSource};
 use crate::workload::random_lines_with;
 use rcoal_attack::{AttackError, AttackSample, SampleSource};
-use rcoal_core::Coalescer;
-use rcoal_gpu_sim::{GpuSimulator, LaunchPolicy};
 use rcoal_parallel::{resolve_threads, try_parallel_map};
 use rcoal_rng::{SeedableRng, StdRng};
 use rcoal_workload::KernelWorkload;
@@ -33,12 +31,14 @@ use std::sync::Arc;
 /// pipeline with `num_plaintexts > i`: the plaintext generator is one
 /// carried sequential stream, and each launch's policy randomness comes
 /// from its own index-derived seed.
+///
+/// The source binds the key once (one key-schedule expansion per
+/// stream), and a functional-only source counts only the attacked-round
+/// loads, the only ones its samples read; every warp still draws its
+/// assignment, so the policy streams match the materialized run.
 pub struct SimulatorSource {
     cfg: ExperimentConfig,
-    workload: &'static dyn KernelWorkload,
-    sim: GpuSimulator,
-    coalescer: Coalescer,
-    launch: LaunchPolicy,
+    launcher: Launcher,
     source: TimingSource,
     rng: StdRng,
     produced: usize,
@@ -96,19 +96,11 @@ impl SimulatorSource {
             }
             _ => {}
         }
-        let workload = rcoal_workload::find(&cfg.workload).ok_or_else(|| {
-            ExperimentError::Config(format!("unknown workload '{}'", cfg.workload))
-        })?;
-        let sim = GpuSimulator::new(cfg.gpu.clone());
-        let coalescer = Coalescer::with_block_size(cfg.gpu.block_size)?;
-        let launch = cfg.launch.unwrap_or(LaunchPolicy::Uniform(cfg.policy));
+        let launcher = cfg.launcher(Counted::Attacked)?;
         let rng = StdRng::seed_from_u64(cfg.seed);
         Ok(SimulatorSource {
             cfg,
-            workload,
-            sim,
-            coalescer,
-            launch,
+            launcher,
             source,
             rng,
             produced: 0,
@@ -122,13 +114,13 @@ impl SimulatorSource {
 
     /// The registry entry of the workload this source simulates.
     pub fn workload_def(&self) -> &'static dyn KernelWorkload {
-        self.workload
+        self.launcher.workload
     }
 
     /// The true attacked subkey of the simulated victim (ground truth
     /// for scoring streamed recoveries).
     pub fn attacked_subkey(&self) -> [u8; 16] {
-        self.workload.attacked_subkey(&self.cfg.key)
+        self.launcher.workload.attacked_subkey(&self.cfg.key)
     }
 
     /// Generates the next `max` samples of the stream into `out`.
@@ -153,14 +145,7 @@ impl SimulatorSource {
         let offset = self.produced;
         let threads = resolve_threads(self.cfg.threads);
         let launches = try_parallel_map(threads, &plaintexts, |i, lines: &Vec<_>| {
-            self.cfg.run_one_launch(
-                self.workload,
-                offset + i,
-                lines,
-                &self.sim,
-                &self.coalescer,
-                self.launch,
-            )
+            self.cfg.run_one_launch(&self.launcher, offset + i, lines)
         })?;
         for data in launches {
             let time = match self.source {
@@ -196,7 +181,9 @@ impl SampleSource for SimulatorSource {
 mod tests {
     use super::*;
     use crate::telemetry::TelemetrySpec;
+    use rcoal_aes::LAST_ROUND_TAG_BASE;
     use rcoal_core::CoalescingPolicy;
+    use rcoal_gpu_sim::LaunchPolicy;
 
     fn chunked(
         cfg: &ExperimentConfig,
@@ -226,6 +213,32 @@ mod tests {
         for chunks in [vec![23], vec![5, 5, 5, 5, 3], vec![1; 23]] {
             let streamed = chunked(&cfg, TimingSource::ByteAccesses(2), &chunks);
             assert_eq!(streamed, materialized, "chunks {chunks:?}");
+        }
+    }
+
+    #[test]
+    fn lean_functional_stream_keeps_every_warps_draws() {
+        // The source counts only the attacked loads, but each warp must
+        // still draw both assignments in order: a randomized default
+        // policy covers half of the attacked bytes here, over a full and
+        // a partial warp.
+        let launch = LaunchPolicy::Selective {
+            vulnerable: CoalescingPolicy::rss_rts(4).unwrap(),
+            default: CoalescingPolicy::fss_rts(2).unwrap(),
+            vulnerable_tags: (LAST_ROUND_TAG_BASE, LAST_ROUND_TAG_BASE + 8),
+        };
+        let cfg = ExperimentConfig::new(CoalescingPolicy::rss_rts(4).unwrap(), 9, 40)
+            .with_launch(launch)
+            .with_seed(5)
+            .functional_only();
+        let data = cfg.run().unwrap();
+        for source in [
+            TimingSource::ByteAccesses(3),
+            TimingSource::ByteAccesses(12),
+            TimingSource::LastRoundAccesses,
+        ] {
+            let streamed = chunked(&cfg, source, &[4, 5]);
+            assert_eq!(streamed, data.attack_samples(source).unwrap(), "{source:?}");
         }
     }
 

@@ -186,6 +186,57 @@ where
     (Ok(out), report)
 }
 
+/// Calls `f(i, &mut items[i])` for every item on up to `threads` worker
+/// threads, updating the items in place — the in-place counterpart of
+/// [`parallel_map`] for long-lived per-item state (e.g. the streaming
+/// attack's guess lanes), which would otherwise be cloned in and out of
+/// every sweep.
+///
+/// Items are claimed in contiguous blocks through an atomic index, so
+/// every item is visited exactly once, by one thread. When `f(i, x)`
+/// depends only on `i`, `x` and shared read-only state, the final items
+/// are identical for every thread count. `threads <= 1` (or fewer than
+/// two items) runs sequentially on the calling thread. A panicking `f`
+/// propagates to the caller.
+pub fn parallel_for_each_mut<T, F>(threads: usize, items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    if threads <= 1 || items.len() < 2 {
+        for (i, x) in items.iter_mut().enumerate() {
+            f(i, x);
+        }
+        return;
+    }
+    // A few blocks per worker keeps the claim traffic low while letting a
+    // fast worker pick up a slow one's share.
+    let block = items.len().div_ceil(threads * 8);
+    let blocks: Vec<std::sync::Mutex<&mut [T]>> =
+        items.chunks_mut(block).map(std::sync::Mutex::new).collect();
+    let next = AtomicUsize::new(0);
+    let (f, next, blocks) = (&f, &next, &blocks);
+    thread::scope(|scope| {
+        for _ in 0..threads.min(blocks.len()) {
+            scope.spawn(move || loop {
+                let b = next.fetch_add(1, Ordering::Relaxed);
+                let Some(cell) = blocks.get(b) else {
+                    break;
+                };
+                // Each block is claimed once, so the lock is never
+                // contended; a poisoned lock only means another worker
+                // panicked, which the scope re-raises.
+                let mut part = cell
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                for (k, x) in part.iter_mut().enumerate() {
+                    f(b * block + k, x);
+                }
+            });
+        }
+    });
+}
+
 /// Host-domain utilization report of one parallel sweep.
 ///
 /// Everything here is wall-clock and scheduling-dependent: two runs with
@@ -390,6 +441,21 @@ mod tests {
             let par = parallel_map(threads, &items, |i, &x| x * 3 + i as u64);
             assert_eq!(par, seq, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_item_once_at_any_thread_count() {
+        let seq: Vec<u64> = (0..1000).map(|i| i * 7 + 1).collect();
+        for threads in [1, 2, 3, 8, 64] {
+            let mut items: Vec<u64> = (0..1000).collect();
+            parallel_for_each_mut(threads, &mut items, |i, x| {
+                assert_eq!(*x, i as u64);
+                *x = *x * 7 + 1;
+            });
+            assert_eq!(items, seq, "threads = {threads}");
+        }
+        let mut empty: Vec<u64> = Vec::new();
+        parallel_for_each_mut(4, &mut empty, |_, _| unreachable!());
     }
 
     #[test]

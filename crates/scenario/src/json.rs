@@ -425,14 +425,25 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unterminated"))?;
+                Some(lead) => {
+                    // Consume one UTF-8 scalar, decoding only its own 1–4
+                    // bytes (the lead byte gives the width), so a string
+                    // costs time linear in its length.
+                    let width = match lead {
+                        0x00..=0x7f => 1,
+                        0xc0..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        0xf0..=0xf7 => 4,
+                        _ => 0,
+                    };
+                    let c = self
+                        .bytes
+                        .get(self.pos..self.pos + width)
+                        .and_then(|b| std::str::from_utf8(b).ok())
+                        .and_then(|s| s.chars().next())
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
                     out.push(c);
-                    self.pos += c.len_utf8();
+                    self.pos += width;
                 }
             }
         }
@@ -503,6 +514,44 @@ mod tests {
         assert_eq!(Value::parse("42"), Ok(Value::Num("42".into())));
         assert_eq!(Value::parse("-1.5e3"), Ok(Value::Num("-1.5e3".into())));
         assert_eq!(Value::parse("\"hi\""), Ok(Value::Str("hi".into())));
+    }
+
+    #[test]
+    fn strings_decode_multibyte_scalars_in_linear_time() {
+        let text = "a\u{e9}\u{4e2d}\u{1f600}z";
+        assert_eq!(
+            Value::parse(&Value::Str(text.into()).to_json()),
+            Ok(Value::Str(text.into()))
+        );
+        // A 1.5 MiB string of mixed-width scalars: the old per-character
+        // scan of the remaining input made this quadratic (minutes).
+        let big: String = "x\u{e9}\u{4e2d}\u{1f600}".repeat(150_000);
+        assert!(big.len() >= 1 << 20);
+        let start = std::time::Instant::now();
+        assert_eq!(
+            Value::parse(&format!("{{\"s\":\"{big}\"}}"))
+                .unwrap()
+                .get("s")
+                .and_then(Value::as_str),
+            Some(big.as_str())
+        );
+        assert!(start.elapsed().as_secs() < 5, "{:?}", start.elapsed());
+    }
+
+    #[test]
+    fn invalid_utf8_is_reported_at_its_offset() {
+        for (bytes, offset) in [
+            (&b"\"ab\xffc\""[..], 3),
+            (&b"\"\xc3\""[..], 1),
+            (&b"\"ok\xe4\xb8"[..], 3),
+        ] {
+            let err = Parser { bytes, pos: 0 }.string().unwrap_err();
+            assert_eq!(
+                (err.msg.as_str(), err.offset),
+                ("invalid utf-8", offset),
+                "{bytes:?}"
+            );
+        }
     }
 
     #[test]

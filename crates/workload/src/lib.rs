@@ -99,6 +99,10 @@ pub trait WorkloadKernel: Kernel + Send + Sync {
     fn attack_text(&self) -> &[Block];
 }
 
+/// Builds a workload's kernel for `(lines, warp_size)` under the key it
+/// was made for (see [`KernelWorkload::keyed`]).
+pub type KernelBuilder = Box<dyn Fn(Vec<Block>, usize) -> Box<dyn WorkloadKernel> + Send + Sync>;
+
 /// A registered table-based workload: everything the experiment
 /// pipeline, the attack, the audit, and the theory need to treat a
 /// kernel family generically.
@@ -112,14 +116,23 @@ pub trait KernelWorkload: Send + Sync {
     /// Table geometry (feeds the analytical security model).
     fn geometry(&self) -> WorkloadGeometry;
 
-    /// Builds the kernel for `lines` under `key` (workloads with
-    /// shorter keys use a prefix; the keyless control ignores it).
+    /// Binds `key` (workloads with shorter keys use a prefix; the
+    /// keyless control ignores it), expanding its schedule once: the
+    /// returned builder makes the kernel for any `(lines, warp_size)`
+    /// without redoing the key work. Experiment runs and streaming
+    /// sources hold one builder per key.
+    fn keyed(&self, key: &[u8; 16]) -> KernelBuilder;
+
+    /// Builds the kernel for `lines` under `key` — a one-off
+    /// `self.keyed(key)(lines, warp_size)`.
     fn build_kernel(
         &self,
         key: &[u8; 16],
         lines: Vec<Block>,
         warp_size: usize,
-    ) -> Box<dyn WorkloadKernel>;
+    ) -> Box<dyn WorkloadKernel> {
+        self.keyed(key)(lines, warp_size)
+    }
 
     /// The subkey the timing attack recovers, zero-padded to 16 bytes
     /// (ground truth for scoring; the attack itself never reads it).
@@ -152,6 +165,20 @@ fn block8(line: &Block) -> [u8; 8] {
     let mut b = [0u8; 8];
     b.copy_from_slice(&line[..8]);
     b
+}
+
+/// A builder of [`TableKernel`]s over one expanded 64-bit-block cipher:
+/// `round_indices(cipher, text)` gives the per-round table indices of
+/// one line's first 8 bytes.
+fn table_builder<C: Send + Sync + 'static>(
+    cipher: C,
+    entry_bytes: u64,
+    round_indices: fn(&C, [u8; 8]) -> Vec<[u8; 8]>,
+) -> KernelBuilder {
+    Box::new(move |lines, warp_size| {
+        let f = |line: &Block| round_indices(&cipher, block8(line));
+        Box::new(TableKernel::new(lines, warp_size, entry_bytes, &f))
+    })
 }
 
 /// The paper's AES-128 workload, wrapping [`AesGpuKernel`] unchanged.
@@ -187,13 +214,11 @@ impl KernelWorkload for AesWorkload {
         }
     }
 
-    fn build_kernel(
-        &self,
-        key: &[u8; 16],
-        lines: Vec<Block>,
-        warp_size: usize,
-    ) -> Box<dyn WorkloadKernel> {
-        Box::new(AesGpuKernel::new(key, lines, warp_size))
+    fn keyed(&self, key: &[u8; 16]) -> KernelBuilder {
+        let aes = Aes128::new(key);
+        Box::new(move |lines, warp_size| {
+            Box::new(AesGpuKernel::from_cipher(aes.clone(), lines, warp_size))
+        })
     }
 
     fn attacked_subkey(&self, key: &[u8; 16]) -> [u8; 16] {
@@ -232,17 +257,10 @@ impl KernelWorkload for Present80Workload {
         }
     }
 
-    fn build_kernel(
-        &self,
-        key: &[u8; 16],
-        lines: Vec<Block>,
-        warp_size: usize,
-    ) -> Box<dyn WorkloadKernel> {
+    fn keyed(&self, key: &[u8; 16]) -> KernelBuilder {
         let mut k80 = [0u8; 10];
         k80.copy_from_slice(&key[..10]);
-        let cipher = Present80::new(&k80);
-        let f = move |line: &Block| cipher.round_index_bytes(block8(line));
-        Box::new(TableKernel::new(lines, warp_size, 8, &f))
+        table_builder(Present80::new(&k80), 8, Present80::round_index_bytes)
     }
 
     fn attacked_subkey(&self, key: &[u8; 16]) -> [u8; 16] {
@@ -284,15 +302,8 @@ impl KernelWorkload for Gift64Workload {
         }
     }
 
-    fn build_kernel(
-        &self,
-        key: &[u8; 16],
-        lines: Vec<Block>,
-        warp_size: usize,
-    ) -> Box<dyn WorkloadKernel> {
-        let cipher = Gift64::new(key);
-        let f = move |line: &Block| cipher.round_index_bytes(block8(line));
-        Box::new(TableKernel::new(lines, warp_size, 4, &f))
+    fn keyed(&self, key: &[u8; 16]) -> KernelBuilder {
+        table_builder(Gift64::new(key), 4, Gift64::round_index_bytes)
     }
 
     fn attacked_subkey(&self, key: &[u8; 16]) -> [u8; 16] {
@@ -331,15 +342,8 @@ impl KernelWorkload for RectangleWorkload {
         }
     }
 
-    fn build_kernel(
-        &self,
-        key: &[u8; 16],
-        lines: Vec<Block>,
-        warp_size: usize,
-    ) -> Box<dyn WorkloadKernel> {
-        let cipher = Rectangle128::new(key);
-        let f = move |line: &Block| cipher.round_index_bytes(block8(line));
-        Box::new(TableKernel::new(lines, warp_size, 2, &f))
+    fn keyed(&self, key: &[u8; 16]) -> KernelBuilder {
+        table_builder(Rectangle128::new(key), 2, Rectangle128::round_index_bytes)
     }
 
     fn attacked_subkey(&self, key: &[u8; 16]) -> [u8; 16] {
@@ -378,15 +382,10 @@ impl KernelWorkload for GatherWorkload {
         }
     }
 
-    fn build_kernel(
-        &self,
-        _key: &[u8; 16],
-        lines: Vec<Block>,
-        warp_size: usize,
-    ) -> Box<dyn WorkloadKernel> {
-        Box::new(TableKernel::new(lines, warp_size, 4, &|line| {
-            gather_round_indices(line)
-        }))
+    fn keyed(&self, _key: &[u8; 16]) -> KernelBuilder {
+        Box::new(|lines, warp_size| {
+            Box::new(TableKernel::new(lines, warp_size, 4, &gather_round_indices))
+        })
     }
 
     fn attacked_subkey(&self, _key: &[u8; 16]) -> [u8; 16] {
@@ -521,6 +520,21 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_builders_match_one_off_builds() {
+        let key = *b"0123456789abcdef";
+        for w in registry() {
+            let build = w.keyed(&key);
+            for n in [1, 32, 40] {
+                let (a, b) = (build(lines(n), 32), w.build_kernel(&key, lines(n), 32));
+                assert_eq!(a.attack_text(), b.attack_text(), "{}", w.name());
+                for warp in 0..a.num_warps() {
+                    assert_eq!(a.trace(warp), b.trace(warp), "{} warp {warp}", w.name());
                 }
             }
         }
