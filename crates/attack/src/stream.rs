@@ -8,8 +8,8 @@
 //! pipeline whose resident state is *independent of the sample count*:
 //!
 //! * [`PearsonAccumulator`] — a bivariate Welford accumulator (centered
-//!   incremental moments) replacing the cancellation-prone raw sums the
-//!   old online path used. Its final correlation agrees with the
+//!   incremental moments) replacing cancellation-prone raw
+//!   `Σx, Σx², Σxy` sums. Its final correlation agrees with the
 //!   two-pass [`crate::stats::pearson`] to ~1e-9 on any stream either
 //!   can handle, and it stays accurate where raw sums catastrophically
 //!   cancel (large means, tiny variances).
@@ -30,7 +30,6 @@
 //!   band and the leader unstable, so it never confidently terminates.
 
 use crate::error::AttackError;
-use crate::online::even_checkpoints;
 use crate::predict::AccessPredictor;
 use crate::recover::{Attack, AttackSample, ByteRecovery, KeyRecovery};
 use rcoal_parallel::{parallel_for_each_mut, resolve_threads};
@@ -208,8 +207,9 @@ impl GuessLane {
     }
 }
 
-/// Streaming recovery of one key byte: 256 [`GuessLane`]s fed chunk by
-/// chunk, parallelized per guess.
+/// Streaming recovery of one key byte: 256 guess lanes (each an
+/// independently seeded predictor plus its [`PearsonAccumulator`]) fed
+/// chunk by chunk, parallelized per guess.
 ///
 /// Resident state is ~256 predictors + accumulators plus the attack's
 /// shared guess table — independent of how many samples flow through.
@@ -577,10 +577,50 @@ pub struct StreamKeyRecovery {
     pub checkpoints: usize,
 }
 
-/// Evenly spaced checkpoint counts for a stream of `budget` samples —
-/// re-exported convenience over [`even_checkpoints`].
-pub fn stream_checkpoints(budget: usize, count: usize) -> Vec<usize> {
-    even_checkpoints(budget, count)
+/// Evenly spaced checkpoint sample counts for a stream of `n` samples:
+/// `count` targets at `n·i/count`, deduplicated and with zero dropped,
+/// always ending exactly at `n` (empty for `n == 0`).
+pub fn even_checkpoints(n: usize, count: usize) -> Vec<usize> {
+    let mut out = Vec::with_capacity(count);
+    for i in 1..=count {
+        let cp = n * i / count.max(1);
+        if cp > 0 && out.last() != Some(&cp) {
+            out.push(cp);
+        }
+    }
+    out
+}
+
+/// Recovery state of key byte `byte` after each prefix of `samples`
+/// named by the (ascending) `checkpoints`: one [`StreamingByteRecovery`]
+/// is fed up to each checkpoint and snapshotted, so every prediction is
+/// made once. Checkpoints beyond the stream are clamped to its end, and
+/// checkpoints that clamp or repeat onto an already-snapshotted prefix
+/// are skipped (each returned sample count appears once).
+///
+/// # Errors
+///
+/// As [`StreamingByteRecovery::new`]; in particular
+/// [`AttackError::ByteIndex`] for `byte >= attack.key_bytes()`.
+pub fn recovery_curve(
+    attack: &Attack,
+    samples: &[AttackSample],
+    byte: usize,
+    checkpoints: &[usize],
+) -> Result<Vec<(usize, ByteRecovery)>, AttackError> {
+    let mut engine = StreamingByteRecovery::new(attack, byte)?;
+    let mut out: Vec<(usize, ByteRecovery)> = Vec::with_capacity(checkpoints.len());
+    for &cp in checkpoints {
+        let target = cp.min(samples.len());
+        if out.last().is_some_and(|&(t, _)| t == target) {
+            continue;
+        }
+        if let Some(rest) = samples.get(engine.len()..target) {
+            engine.push_chunk(rest);
+        }
+        out.push((target, engine.snapshot()));
+    }
+    Ok(out)
 }
 
 /// Streams up to `opts.max_samples` from `source` and recovers key byte
@@ -802,8 +842,7 @@ mod tests {
 
     // ---- PearsonAccumulator property tests (satellite 1) ----
 
-    /// The old raw-sum correlation, exactly as `OnlineByteRecovery`
-    /// computed it before this module existed — kept here as the
+    /// The textbook raw-sum correlation — kept here as the
     /// cancellation strawman.
     fn raw_sum_pearson(xs: &[f64], ys: &[f64]) -> f64 {
         let n = xs.len() as f64;
@@ -1229,7 +1268,6 @@ mod tests {
         vec![
             StreamingByteRecovery::new(attack, 0).unwrap_err(),
             StreamingKeyRecovery::new(attack).unwrap_err(),
-            crate::OnlineByteRecovery::new(attack, 0).unwrap_err(),
             attack.correlations_for_byte(samples, 0).unwrap_err(),
             attack.recover_byte(samples, 0).unwrap_err(),
             attack.recover_key(samples).unwrap_err(),
@@ -1313,5 +1351,52 @@ mod tests {
         assert_eq!(snap.counters["attack.samples_correlated"], 256 * 60);
         assert_eq!(snap.counters["span.attack.stream_byte.calls"], 1);
         assert_eq!(snap.gauges["attack.stream.samples"], 60);
+    }
+
+    #[test]
+    fn recovery_curve_clamps_and_skips_repeated_prefixes() {
+        let (samples, k10) = leaky_samples(80, 2);
+        let attack = Attack::baseline(32);
+        let curve = recovery_curve(&attack, &samples, 2, &[10, 40, 40, 80, 500]).unwrap();
+        // The repeated 40 and the 500 (clamped onto the already
+        // snapshotted end of the stream) are skipped.
+        let counts: Vec<usize> = curve.iter().map(|(n, _)| *n).collect();
+        assert_eq!(counts, vec![10, 40, 80]);
+        // With a clean single-byte channel the final checkpoint recovers.
+        assert_eq!(curve[2].1.best_guess, k10[2]);
+        assert!(curve[2].1.correlation_of(k10[2]) > 0.95);
+    }
+
+    #[test]
+    fn recovery_curve_reports_zero_on_degenerate_prefixes() {
+        let (samples, _) = leaky_samples(3, 2);
+        let attack = Attack::baseline(32);
+        let curve = recovery_curve(&attack, &samples, 2, &[0, 1]).unwrap();
+        assert_eq!(curve.len(), 2);
+        for (n, rec) in &curve {
+            assert!(
+                rec.correlations.iter().all(|&r| r == 0.0),
+                "{n} samples are degenerate"
+            );
+        }
+    }
+
+    #[test]
+    fn recovery_curve_byte_index_is_a_typed_error() {
+        let attack = Attack::baseline(32);
+        assert_eq!(
+            recovery_curve(&attack, &[], 99, &[1]).unwrap_err(),
+            AttackError::ByteIndex { j: 99 }
+        );
+    }
+
+    #[test]
+    fn even_checkpoints_dedupe_and_end_at_n() {
+        assert_eq!(even_checkpoints(100, 4), vec![25, 50, 75, 100]);
+        assert_eq!(even_checkpoints(3, 6), vec![1, 2, 3], "duplicates dropped");
+        assert_eq!(even_checkpoints(1, 4), vec![1]);
+        assert_eq!(even_checkpoints(0, 4), Vec::<usize>::new());
+        assert_eq!(even_checkpoints(5, 0), Vec::<usize>::new());
+        assert_eq!(even_checkpoints(7, 3), vec![2, 4, 7]);
     }
 }

@@ -127,43 +127,12 @@ pub fn evaluate_gate(report: &LeakageReport, expectation: Expectation) -> GateOu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::audit_samples;
     use crate::spec::AuditSpec;
-    use rcoal_attack::{Attack, AttackSample};
-    use rcoal_core::CoalescingPolicy;
-    use std::sync::Arc;
+    use crate::stream::tests::{audit_baseline, perfect_leak_samples};
 
     fn leaky_report() -> LeakageReport {
-        let true_byte = 0x3c;
-        let attack =
-            Attack::against(CoalescingPolicy::Baseline, 32).with_seed(AuditSpec::new().attack_seed);
-        let mut predictor = attack.predictor_for_guess(true_byte);
-        let samples: Vec<AttackSample> = (0..128usize)
-            .map(|i| {
-                let ct: Vec<[u8; 16]> = (0..32usize)
-                    .map(|lane| {
-                        let mut b = [0u8; 16];
-                        b.iter_mut()
-                            .enumerate()
-                            .for_each(|(k, x)| *x = (i * 31 + lane * 7 + k * 13) as u8);
-                        b
-                    })
-                    .collect();
-                let time = predictor.predict(&ct, 0, true_byte);
-                AttackSample {
-                    ciphertexts: Arc::new(ct),
-                    time,
-                }
-            })
-            .collect();
-        audit_samples(
-            CoalescingPolicy::Baseline,
-            32,
-            &samples,
-            true_byte,
-            &AuditSpec::new(),
-        )
-        .unwrap()
+        let (samples, true_byte) = perfect_leak_samples(128);
+        audit_baseline(&samples, true_byte, &[], &AuditSpec::new()).unwrap()
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! The audit itself: partition, test, estimate, cross-check — and the
-//! typed [`LeakageReport`] with its stable `rcoal-audit/v1` encoding.
+//! The audit's vocabulary: targets, errors, the theory cross-check, and
+//! the typed [`LeakageReport`] with its stable `rcoal-audit/v1`
+//! encoding. The engine that fills a report in lives in
+//! [`crate::stream`].
 
 use crate::spec::{AuditChannel, AuditSpec};
-use crate::stats::{binned_mi, welch_t_test, MiEstimate, WelchT};
-use rcoal_attack::{
-    aes_oracle, even_checkpoints, recovery_curve, Attack, AttackError, AttackSample, TableOracle,
-};
+use crate::stats::{MiEstimate, WelchT};
+use rcoal_attack::{aes_oracle, AttackError, TableOracle};
 use rcoal_core::CoalescingPolicy;
 use rcoal_scenario::json::{ObjBuilder, Value};
-use rcoal_telemetry::Hist64;
 use rcoal_theory::{Mechanism, SecurityModel};
 use std::error::Error;
 use std::fmt;
@@ -54,7 +53,7 @@ impl From<AttackError> for AuditError {
 /// A named side-channel observable sampled once per attack sample —
 /// e.g. a per-launch stage scalar (mean memory latency, DRAM row-hit
 /// rate) pulled from telemetry. Values must be index-aligned with the
-/// audited [`AttackSample`] stream.
+/// audited [`rcoal_attack::AttackSample`] stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageChannel {
     /// Stable channel name (appears in the report JSON).
@@ -236,210 +235,6 @@ impl AuditTarget {
     }
 }
 
-/// Audits a sample stream with no auxiliary stage channels (the
-/// paper's AES target).
-///
-/// # Errors
-///
-/// [`AuditError::Spec`] for an invalid spec; [`AuditError::Attack`]
-/// when the stream is empty or the byte index is out of range.
-pub fn audit_samples(
-    policy: CoalescingPolicy,
-    warp_size: usize,
-    samples: &[AttackSample],
-    true_key_byte: u8,
-    spec: &AuditSpec,
-) -> Result<LeakageReport, AuditError> {
-    audit_with_stages(policy, warp_size, samples, true_key_byte, &[], spec)
-}
-
-/// Audits a sample stream plus index-aligned stage channels.
-///
-/// The partition for every t-test is the TVLA "specific" variant: each
-/// sample is classed by the attacker's own access-count prediction for
-/// the *true* key byte (above/below the median prediction), so the test
-/// asks exactly "do samples the attacker expects to be slow actually
-/// run slow?". Randomized policies decorrelate the prediction from the
-/// realized count, collapsing the class separation — which is the
-/// defense working, and the gate's passing condition.
-///
-/// # Errors
-///
-/// [`AuditError::Spec`] for an invalid spec; [`AuditError::Attack`]
-/// when the stream is empty or the byte index is out of range.
-pub fn audit_with_stages(
-    policy: CoalescingPolicy,
-    warp_size: usize,
-    samples: &[AttackSample],
-    true_key_byte: u8,
-    stages: &[StageChannel],
-    spec: &AuditSpec,
-) -> Result<LeakageReport, AuditError> {
-    audit_target_with_stages(
-        &AuditTarget::aes(policy, warp_size, true_key_byte),
-        samples,
-        stages,
-        spec,
-    )
-}
-
-/// Audits a sample stream for an arbitrary workload target (see
-/// [`AuditTarget`]), plus index-aligned stage channels. The AES entry
-/// points above are thin wrappers over this.
-///
-/// # Errors
-///
-/// [`AuditError::Spec`] for an invalid spec; [`AuditError::Attack`]
-/// when the stream is empty or the byte index is out of range for the
-/// target's oracle.
-pub fn audit_target_with_stages(
-    target: &AuditTarget,
-    samples: &[AttackSample],
-    stages: &[StageChannel],
-    spec: &AuditSpec,
-) -> Result<LeakageReport, AuditError> {
-    let AuditTarget {
-        policy,
-        warp_size,
-        true_key_byte,
-        ..
-    } = *target;
-    spec.validate().map_err(AuditError::Spec)?;
-    if samples.is_empty() {
-        return Err(AuditError::Attack(AttackError::NoSamples));
-    }
-    for stage in stages {
-        if stage.values.len() != samples.len() {
-            return Err(AuditError::Spec(format!(
-                "stage channel '{}' has {} values for {} samples",
-                stage.name,
-                stage.values.len(),
-                samples.len()
-            )));
-        }
-    }
-
-    let attack = Attack::against(policy, warp_size)
-        .with_seed(spec.attack_seed)
-        .with_oracle(Arc::clone(&target.oracle));
-
-    // Attacker-side predictions for the true key byte, one per sample.
-    let mut predictor = attack.predictor_for_guess(true_key_byte);
-    let predictions: Vec<f64> = samples
-        .iter()
-        .map(|s| predictor.predict(&s.ciphertexts, spec.byte, true_key_byte))
-        .collect();
-    let times: Vec<f64> = samples.iter().map(|s| s.time).collect();
-
-    // Median split over predictions: low class <= median < high class.
-    // Saturated geometries (few table blocks under many threads, e.g.
-    // RECTANGLE's R = 8 under N = 32) can pin the median at the maximum
-    // prediction, emptying the high class and silencing the t-test on a
-    // channel that still leaks; ties then go high instead, so the split
-    // separates the saturated mass from the rare low outliers.
-    let median = median_of(&predictions);
-    let strict: Vec<bool> = predictions.iter().map(|&p| p > median).collect();
-    let high: Vec<bool> = if strict.iter().filter(|&&h| h).count() >= 2 {
-        strict
-    } else {
-        predictions.iter().map(|&p| p >= median).collect()
-    };
-
-    let timing = channel_test("timing", &predictions, &times, &high, spec);
-    let stage_tests: Vec<ChannelTest> = stages
-        .iter()
-        .map(|s| channel_test(&s.name, &predictions, &s.values, &high, spec))
-        .collect();
-
-    // Correlation trajectory of the streaming attack at evenly spaced
-    // checkpoints (always including the full stream) — the same
-    // schedule the attack crate uses everywhere.
-    let n = samples.len();
-    let mut checkpoints = even_checkpoints(n, spec.checkpoints);
-    if checkpoints.is_empty() {
-        checkpoints.push(n);
-    }
-    let curve = recovery_curve(&attack, samples, spec.byte, &checkpoints)?;
-    let trajectory: Vec<TrajectoryPoint> = curve
-        .iter()
-        .map(|(samples, rec)| TrajectoryPoint {
-            samples: *samples,
-            corr_true: rec.correlation_of(true_key_byte),
-            rank: rec.rank_of(true_key_byte),
-        })
-        .collect();
-    let empirical_rho = trajectory.last().map_or(0.0, |p| p.corr_true);
-    let empirical_s = normalized_s(empirical_rho);
-
-    let theory = theory_check(policy, warp_size, spec, empirical_rho, n, target.theory_r);
-
-    let mut hist = Hist64::new();
-    for &t in &times {
-        hist.record(t.max(0.0).round() as u64);
-    }
-    let quantiles = ChannelQuantiles {
-        count: hist.count(),
-        mean: hist.mean(),
-        p50: hist.p50().unwrap_or(0),
-        p95: hist.p95().unwrap_or(0),
-        p99: hist.p99().unwrap_or(0),
-    };
-
-    let leaky = timing.leaky;
-    Ok(LeakageReport {
-        policy,
-        warp_size,
-        byte: spec.byte,
-        channel: spec.channel,
-        samples: n,
-        spec: spec.clone(),
-        timing,
-        stages: stage_tests,
-        trajectory,
-        empirical_rho,
-        empirical_s,
-        theory,
-        quantiles,
-        leaky,
-    })
-}
-
-fn channel_test(
-    name: &str,
-    predictions: &[f64],
-    values: &[f64],
-    high: &[bool],
-    spec: &AuditSpec,
-) -> ChannelTest {
-    let low_class: Vec<f64> = values
-        .iter()
-        .zip(high)
-        .filter(|(_, &h)| !h)
-        .map(|(&v, _)| v)
-        .collect();
-    let high_class: Vec<f64> = values
-        .iter()
-        .zip(high)
-        .filter(|(_, &h)| h)
-        .map(|(&v, _)| v)
-        .collect();
-    let welch = welch_t_test(&low_class, &high_class);
-    let mi = binned_mi(predictions, values, spec.mi_bins);
-    let leaky = welch.exceeds(spec.t_threshold) && mi.corrected_bits > spec.mi_floor_bits;
-    ChannelTest {
-        name: name.to_string(),
-        welch,
-        mi,
-        leaky,
-    }
-}
-
-fn median_of(xs: &[f64]) -> f64 {
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    sorted[(sorted.len() - 1) / 2]
-}
-
 pub(crate) fn normalized_s(rho: f64) -> f64 {
     if rho == 0.0 {
         f64::INFINITY
@@ -587,142 +382,7 @@ impl LeakageReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    /// Synthetic sample stream where the channel value IS the access
-    /// count the baseline predictor computes for the true byte: the
-    /// attacker's model matches reality exactly, so ρ̂ = 1.
-    fn perfect_leak_samples(n: usize) -> (Vec<AttackSample>, u8) {
-        let true_byte = 0x3c;
-        let attack =
-            Attack::against(CoalescingPolicy::Baseline, 32).with_seed(AuditSpec::new().attack_seed);
-        let mut predictor = attack.predictor_for_guess(true_byte);
-        let samples = (0..n)
-            .map(|i| {
-                let ct: Vec<[u8; 16]> = (0..32usize)
-                    .map(|lane| {
-                        let mut b = [0u8; 16];
-                        b.iter_mut().enumerate().for_each(|(k, x)| {
-                            *x = (i * 31 + lane * 7 + k * 13) as u8;
-                        });
-                        b
-                    })
-                    .collect();
-                let time = predictor.predict(&ct, 0, true_byte);
-                AttackSample {
-                    ciphertexts: Arc::new(ct),
-                    time,
-                }
-            })
-            .collect();
-        (samples, true_byte)
-    }
-
-    #[test]
-    fn perfectly_leaky_stream_is_flagged() {
-        let (samples, true_byte) = perfect_leak_samples(256);
-        let report = audit_samples(
-            CoalescingPolicy::Baseline,
-            32,
-            &samples,
-            true_byte,
-            &AuditSpec::new(),
-        )
-        .unwrap();
-        assert!(report.leaky, "timing t = {}", report.timing.welch.t);
-        assert!(report.timing.welch.exceeds(4.5));
-        assert!(report.timing.mi.corrected_bits > 0.05);
-        assert!(
-            (report.empirical_rho - 1.0).abs() < 1e-9,
-            "rho = {}",
-            report.empirical_rho
-        );
-        let theory = report.theory.expect("baseline has a closed form");
-        assert_eq!(theory.mechanism, "FSS");
-        assert_eq!(theory.m, 1);
-        assert!((theory.predicted_s - 1.0).abs() < 1e-12);
-        assert!(theory.ok, "rho-hat 1.0 vs predicted 1.0");
-    }
-
-    #[test]
-    fn constant_channel_is_not_flagged() {
-        let (mut samples, true_byte) = perfect_leak_samples(128);
-        for s in &mut samples {
-            s.time = 42.0;
-        }
-        let report = audit_samples(
-            CoalescingPolicy::Baseline,
-            32,
-            &samples,
-            true_byte,
-            &AuditSpec::new(),
-        )
-        .unwrap();
-        assert!(!report.leaky);
-        assert_eq!(report.timing.welch.t, 0.0);
-        assert_eq!(report.timing.mi.corrected_bits, 0.0);
-        assert_eq!(report.empirical_rho, 0.0, "constant channel, no signal");
-        assert!(report.empirical_s.is_infinite());
-        assert_eq!(report.quantiles.p50, 42);
-        assert_eq!(report.quantiles.p99, 42);
-    }
-
-    #[test]
-    fn empty_stream_and_bad_spec_error() {
-        let err =
-            audit_samples(CoalescingPolicy::Baseline, 32, &[], 0, &AuditSpec::new()).unwrap_err();
-        assert!(matches!(err, AuditError::Attack(AttackError::NoSamples)));
-        let (samples, tb) = perfect_leak_samples(8);
-        let err = audit_samples(
-            CoalescingPolicy::Baseline,
-            32,
-            &samples,
-            tb,
-            &AuditSpec::new().with_byte(16),
-        )
-        .unwrap_err();
-        assert!(matches!(err, AuditError::Spec(_)), "{err}");
-        let stage = StageChannel {
-            name: "short".into(),
-            values: vec![1.0; 3],
-        };
-        let err = audit_with_stages(
-            CoalescingPolicy::Baseline,
-            32,
-            &samples,
-            tb,
-            &[stage],
-            &AuditSpec::new(),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("short"), "{err}");
-    }
-
-    #[test]
-    fn stage_channels_are_tested_alongside_timing() {
-        let (samples, true_byte) = perfect_leak_samples(128);
-        // One stage mirrors the leak, one is constant.
-        let leak = StageChannel {
-            name: "mirror".into(),
-            values: samples.iter().map(|s| s.time * 3.0 + 1.0).collect(),
-        };
-        let flat = StageChannel {
-            name: "flat".into(),
-            values: vec![7.0; samples.len()],
-        };
-        let report = audit_with_stages(
-            CoalescingPolicy::Baseline,
-            32,
-            &samples,
-            true_byte,
-            &[leak, flat],
-            &AuditSpec::new(),
-        )
-        .unwrap();
-        assert_eq!(report.stages.len(), 2);
-        assert!(report.stages[0].leaky, "mirrored stage flags");
-        assert!(!report.stages[1].leaky, "constant stage is silent");
-    }
+    use crate::stream::tests::{audit_baseline, perfect_leak_samples};
 
     #[test]
     fn mechanism_mapping_covers_every_policy() {
@@ -742,14 +402,7 @@ mod tests {
     #[test]
     fn report_json_has_the_v1_shape() {
         let (samples, true_byte) = perfect_leak_samples(64);
-        let report = audit_samples(
-            CoalescingPolicy::Baseline,
-            32,
-            &samples,
-            true_byte,
-            &AuditSpec::new(),
-        )
-        .unwrap();
+        let report = audit_baseline(&samples, true_byte, &[], &AuditSpec::new()).unwrap();
         let json = report.to_json();
         let v = Value::parse(&json).expect("report JSON parses");
         assert_eq!(v.get("schema").and_then(Value::as_str), Some(AUDIT_SCHEMA));
@@ -773,8 +426,7 @@ mod tests {
         for s in &mut flat {
             s.time = 1.0;
         }
-        let r =
-            audit_samples(CoalescingPolicy::Baseline, 32, &flat, tb, &AuditSpec::new()).unwrap();
+        let r = audit_baseline(&flat, tb, &[], &AuditSpec::new()).unwrap();
         let v = Value::parse(&r.to_json()).unwrap();
         assert_eq!(
             v.get("empirical").and_then(|e| e.get("s")),

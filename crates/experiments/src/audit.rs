@@ -8,6 +8,7 @@
 
 use crate::error::ExperimentError;
 use crate::run::{ExperimentData, TimingSource};
+use rcoal_attack::AttackSample;
 use rcoal_audit::{
     audit_target_with_stages, AuditChannel, AuditSpec, AuditTarget, LeakageReport, StageChannel,
 };
@@ -86,15 +87,27 @@ pub fn audit_data(
     warp_size: usize,
     spec: &AuditSpec,
 ) -> Result<LeakageReport, ExperimentError> {
+    let (target, samples, stages) = audit_inputs(data, warp_size, spec)?;
+    audit_target_with_stages(&target, &samples, &stages, spec).map_err(|e| match e {
+        rcoal_audit::AuditError::Attack(a) => ExperimentError::Attack(a),
+        other => ExperimentError::Config(format!("audit: {other}")),
+    })
+}
+
+/// What [`audit_data`] audits: the workload's target, the attack samples
+/// for the spec's channel, and the run's stage channels.
+fn audit_inputs(
+    data: &ExperimentData,
+    warp_size: usize,
+    spec: &AuditSpec,
+) -> Result<(AuditTarget, Vec<AttackSample>, Vec<StageChannel>), ExperimentError> {
     let samples = data.attack_samples(timing_source(spec)?)?;
     let workload = data.workload_def();
     let geometry = workload.geometry();
-    let true_byte = workload.attacked_subkey(&data.key)[spec.byte.min(15)];
-    let stages = stage_channels(data);
     let target = AuditTarget {
         policy: data.policy,
         warp_size,
-        true_key_byte: true_byte,
+        true_key_byte: workload.attacked_subkey(&data.key)[spec.byte.min(15)],
         oracle: workload.oracle(),
         // Theory cross-checks need the closed-form (R, N) model; the
         // gather control opts out (its indices are not byte-local).
@@ -102,10 +115,7 @@ pub fn audit_data(
             .theory_comparable()
             .then_some(geometry.table_size_r),
     };
-    audit_target_with_stages(&target, &samples, &stages, spec).map_err(|e| match e {
-        rcoal_audit::AuditError::Attack(a) => ExperimentError::Attack(a),
-        other => ExperimentError::Config(format!("audit: {other}")),
-    })
+    Ok((target, samples, stage_channels(data)))
 }
 
 #[cfg(test)]
@@ -113,6 +123,8 @@ mod tests {
     use super::*;
     use crate::run::ExperimentConfig;
     use crate::telemetry::TelemetrySpec;
+    use rcoal_attack::Attack;
+    use rcoal_audit::{binned_mi, welch_t_test, StreamingAudit};
     use rcoal_core::CoalescingPolicy;
 
     #[test]
@@ -157,6 +169,87 @@ mod tests {
         assert!(names.contains(&"warp_finish_spread"), "{names:?}");
         for s in &report.stages {
             assert_eq!(s.welch.n_low + s.welch.n_high, 12, "{}", s.name);
+        }
+    }
+
+    #[test]
+    fn streamed_stage_channels_match_the_reference_estimators() {
+        let data = ExperimentConfig::new(CoalescingPolicy::Baseline, 24, 32)
+            .with_seed(5)
+            .with_telemetry(TelemetrySpec::profile_only())
+            .run()
+            .unwrap();
+        let spec = AuditSpec::new().with_channel(AuditChannel::LastRoundCycles);
+        let (target, samples, stages) = audit_inputs(&data, 32, &spec).unwrap();
+        assert_eq!(stages.len(), 6);
+        let names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
+        let mut audit =
+            StreamingAudit::with_stages(target.clone(), spec.clone(), samples.len(), &names)
+                .unwrap();
+        for (i, chunk) in samples.chunks(5).enumerate() {
+            let lo = i * 5;
+            let columns: Vec<&[f64]> = stages
+                .iter()
+                .map(|s| &s.values[lo..lo + chunk.len()])
+                .collect();
+            audit.push_chunk(chunk, &columns).unwrap();
+        }
+        let report = audit.finish().unwrap();
+        assert_eq!(
+            report,
+            audit_data(&data, 32, &spec).unwrap(),
+            "chunking never moves the report"
+        );
+
+        // Independent references over the raw columns: every stage is
+        // classed by the attacker's true-byte prediction.
+        let true_byte = target.true_key_byte;
+        let mut predictor = Attack::against(target.policy, 32)
+            .with_seed(spec.attack_seed)
+            .with_oracle(target.oracle)
+            .predictor_for_guess(true_byte);
+        let preds: Vec<f64> = samples
+            .iter()
+            .map(|s| predictor.predict(&s.ciphertexts, spec.byte, true_byte))
+            .collect();
+        let mut sorted = preds.clone();
+        sorted.sort_by(f64::total_cmp);
+        let median = sorted[(sorted.len() - 1) / 2];
+        let strict = preds.iter().filter(|&&p| p > median).count() >= 2;
+        let high: Vec<bool> = preds
+            .iter()
+            .map(|&p| p > median || (!strict && p >= median))
+            .collect();
+        assert_eq!(report.stages.len(), stages.len());
+        for (test, stage) in report.stages.iter().zip(&stages) {
+            assert_eq!(test.name, stage.name);
+            assert_eq!(
+                test.mi,
+                binned_mi(&preds, &stage.values, spec.mi_bins),
+                "{}",
+                stage.name
+            );
+            let class = |want: bool| -> Vec<f64> {
+                stage
+                    .values
+                    .iter()
+                    .zip(&high)
+                    .filter(|&(_, &h)| h == want)
+                    .map(|(&v, _)| v)
+                    .collect()
+            };
+            let want = welch_t_test(&class(false), &class(true));
+            assert_eq!(
+                (test.welch.n_low, test.welch.n_high),
+                (want.n_low, want.n_high)
+            );
+            assert!(
+                (test.welch.t - want.t).abs() < 1e-9,
+                "{}: t {} vs {}",
+                stage.name,
+                test.welch.t,
+                want.t
+            );
         }
     }
 }

@@ -650,7 +650,7 @@ impl SweepRunner {
     ///   durably recorded every finished run; re-running under
     ///   [`SweepRunner::with_store`] serves them back bit-identically.
     /// * **Checkpointing** — every journal append is flushed, and every
-    ///   [`CHECKPOINT_EVERY`]-th is fsync'd (plus a final sync), so even
+    ///   8th (`CHECKPOINT_EVERY`) is fsync'd (plus a final sync), so even
     ///   power loss loses at most one checkpoint window of bookkeeping
     ///   (never results: the cache entries themselves are fsync'd).
     ///

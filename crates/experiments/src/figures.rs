@@ -1148,7 +1148,10 @@ pub fn ablation_samples_needed_with(
     try_parallel_map(resolve_threads(None), &jobs, |_, &(name, policy, data)| {
         let k10 = data.true_last_round_key();
         let samples = data.attack_samples(TimingSource::ByteAccesses(0))?;
-        let attack = Attack::against(policy, 32).with_seed(seed ^ 0x5eed);
+        // The jobs already fan out; each curve runs on its worker.
+        let attack = Attack::against(policy, 32)
+            .with_seed(seed ^ 0x5eed)
+            .with_threads(Some(1));
 
         // Probe a geometric grid of prefix sizes with the streaming
         // attack (each prediction is computed once); recovery must hold

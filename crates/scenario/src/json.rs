@@ -13,23 +13,13 @@
 
 use std::fmt;
 
-/// Escapes a string for embedding in a JSON string literal (same
-/// convention as `rcoal_telemetry::json_escape`).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use rcoal_telemetry::json_escape;
+
+/// Deepest container nesting [`Value::parse`] accepts. The parser is
+/// recursive descent, so the cap bounds its stack use: a hostile
+/// document (a spec, cache header, or journal line) gets a
+/// [`JsonError`] instead of overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parse error with the byte offset where it was detected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -222,6 +212,7 @@ impl Value {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -270,6 +261,8 @@ impl ObjBuilder {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -310,8 +303,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -545,7 +549,13 @@ mod tests {
             (&b"\"\xc3\""[..], 1),
             (&b"\"ok\xe4\xb8"[..], 3),
         ] {
-            let err = Parser { bytes, pos: 0 }.string().unwrap_err();
+            let err = Parser {
+                bytes,
+                pos: 0,
+                depth: 0,
+            }
+            .string()
+            .unwrap_err();
             assert_eq!(
                 (err.msg.as_str(), err.offset),
                 ("invalid utf-8", offset),
@@ -611,6 +621,28 @@ mod tests {
         ] {
             assert!(Value::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let deep = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        let err = Value::parse(&deep(50_000)).unwrap_err();
+        assert_eq!(
+            err.offset, MAX_DEPTH,
+            "reported at the first container past the cap"
+        );
+        assert!(err.msg.contains("nesting"), "{err}");
+        let mixed = "{\"a\":[".repeat(MAX_DEPTH) + "{";
+        assert_eq!(Value::parse(&mixed).unwrap_err().msg, err.msg);
+        // Right at and just under the cap, documents still parse.
+        for d in [MAX_DEPTH - 1, MAX_DEPTH] {
+            let mut v = &Value::parse(&deep(d)).unwrap();
+            for _ in 1..d {
+                v = &v.as_arr().unwrap()[0];
+            }
+            assert_eq!(v, &Value::Arr(vec![]), "depth {d}");
+        }
+        assert!(Value::parse(&deep(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]
